@@ -40,14 +40,16 @@ void print_spike_pattern(const std::string& label, const snn::CodingScheme& sche
                          float activation) {
   Tensor a{Shape{1}};
   a[0] = activation;
-  const snn::SpikeRaster r = scheme.encode(a);
+  snn::SimWorkspace ws;
+  snn::EventBuffer train;
+  scheme.encode_into(a, ws, train);
   std::string line;
-  const std::size_t show = std::min<std::size_t>(r.window(), 40);
+  const std::size_t show = std::min<std::size_t>(train.window(), 40);
   for (std::size_t t = 0; t < show; ++t) {
-    line += r.at(t).empty() ? '.' : '|';
+    line += train.step_count(t) == 0 ? '.' : '|';
   }
   std::printf("  %-9s %s  (%zu spikes)\n", label.c_str(), line.c_str(),
-              r.total_spikes());
+              train.size());
 }
 
 }  // namespace

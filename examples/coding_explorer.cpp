@@ -9,6 +9,7 @@
 // noise mechanics of SS III tangible: deletion zeroes whole TTFS
 // activations, jitter re-weighs phase spikes, burst chains break, rate
 // barely notices timing.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -21,17 +22,14 @@ namespace {
 
 using namespace tsnn;
 
-std::string render(const snn::SpikeRaster& raster, std::uint32_t neuron,
+std::string render(const snn::EventBuffer& train, std::uint32_t neuron,
                    std::size_t max_steps) {
   std::string line;
-  const std::size_t show = std::min(raster.window(), max_steps);
+  const std::size_t show = std::min(train.window(), max_steps);
   for (std::size_t t = 0; t < show; ++t) {
-    bool hit = false;
-    for (const std::uint32_t id : raster.at(t)) {
-      if (id == neuron) {
-        hit = true;
-      }
-    }
+    const snn::EventBuffer::StepSpan span = train.step(t);
+    const bool hit = std::find(span.ids, span.ids + span.count, neuron) !=
+                     span.ids + span.count;
     line += hit ? '|' : '.';
   }
   return line;
@@ -40,9 +38,12 @@ std::string render(const snn::SpikeRaster& raster, std::uint32_t neuron,
 void explore(const snn::CodingScheme& scheme, const Tensor& activations,
              const snn::NoiseModel& noise, std::uint64_t seed) {
   std::printf("\n--- %s ---\n", scheme.name().c_str());
-  const snn::SpikeRaster clean = scheme.encode(activations);
+  snn::SimWorkspace ws;
+  snn::EventBuffer clean;
+  scheme.encode_into(activations, ws, clean);
   Rng rng(seed);
-  const snn::SpikeRaster noisy = noise.apply(clean, rng);
+  snn::EventBuffer noisy = clean;
+  noise.apply_inplace(noisy, ws.sort, rng);
   const Tensor clean_decoded = scheme.decode(clean);
   const Tensor noisy_decoded = scheme.decode(noisy);
   for (std::uint32_t i = 0; i < activations.numel(); ++i) {
@@ -51,8 +52,8 @@ void explore(const snn::CodingScheme& scheme, const Tensor& activations,
     std::printf("       %-5s %s -> %.3f\n", "noisy",
                 render(noisy, i, 48).c_str(), noisy_decoded[i]);
   }
-  std::printf("spikes: %zu clean, %zu after %s\n", clean.total_spikes(),
-              noisy.total_spikes(), noise.name().c_str());
+  std::printf("spikes: %zu clean, %zu after %s\n", clean.size(),
+              noisy.size(), noise.name().c_str());
 }
 
 }  // namespace

@@ -145,13 +145,15 @@ void BurstScheme::step_readout(const EventBuffer& in,
   syn.propagate_accum(st.batch, st.u.data());
 }
 
-Tensor BurstScheme::decode(const snn::SpikeRaster& in) const {
+Tensor BurstScheme::decode(const EventBuffer& in) const {
   Tensor out{Shape{in.num_neurons()}};
   std::vector<std::int64_t> last(in.num_neurons(), -10);
   std::vector<std::uint32_t> k(in.num_neurons(), 0);
   const float inv_t = 1.0f / static_cast<float>(params_.window);
   for (std::size_t t = 0; t < in.window(); ++t) {
-    for (const std::uint32_t pre : in.at(t)) {
+    const EventBuffer::StepSpan span = in.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      const std::uint32_t pre = span.ids[i];
       const std::size_t kk =
           isi_on_arrival(static_cast<std::int64_t>(t), last[pre], k[pre]);
       out[pre] += burst_gain(kk) * inv_t;

@@ -45,7 +45,7 @@ class BurstScheme : public snn::CodingScheme {
                     snn::LayerRole role, std::size_t t,
                     snn::StageState& st) const override;
 
-  Tensor decode(const snn::SpikeRaster& in) const override;
+  Tensor decode(const snn::EventBuffer& in) const override;
 
   /// Gain of the k-th consecutive spike, capped at burst_cap: g^min(k,cap).
   float burst_gain(std::size_t k) const;

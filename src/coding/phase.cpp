@@ -119,13 +119,14 @@ void PhaseScheme::step_readout(const EventBuffer& in,
                       st.u.data());
 }
 
-Tensor PhaseScheme::decode(const snn::SpikeRaster& in) const {
+Tensor PhaseScheme::decode(const EventBuffer& in) const {
   Tensor out{Shape{in.num_neurons()}};
   const float inv_periods = 1.0f / static_cast<float>(num_periods());
   for (std::size_t t = 0; t < in.window(); ++t) {
     const float pw = phase_weight(t);
-    for (const std::uint32_t pre : in.at(t)) {
-      out[pre] += pw * inv_periods;
+    const EventBuffer::StepSpan span = in.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      out[span.ids[i]] += pw * inv_periods;
     }
   }
   return out;

@@ -43,7 +43,7 @@ class PhaseScheme : public snn::CodingScheme {
                     snn::LayerRole role, std::size_t t,
                     snn::StageState& st) const override;
 
-  Tensor decode(const snn::SpikeRaster& in) const override;
+  Tensor decode(const snn::EventBuffer& in) const override;
 
   /// Binary phase weight of timestep `t`: 2^-(1 + t mod K).
   float phase_weight(std::size_t t) const;

@@ -106,12 +106,13 @@ void RateScheme::step_readout(const EventBuffer& in, const SynapseTopology& syn,
   snn::propagate_step(in, t, params_.threshold, syn, st.batch, st.u.data());
 }
 
-Tensor RateScheme::decode(const snn::SpikeRaster& in) const {
+Tensor RateScheme::decode(const EventBuffer& in) const {
   Tensor out{Shape{in.num_neurons()}};
   const float inv_t = 1.0f / static_cast<float>(params_.window);
   for (std::size_t t = 0; t < in.window(); ++t) {
-    for (const std::uint32_t pre : in.at(t)) {
-      out[pre] += inv_t;
+    const EventBuffer::StepSpan span = in.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      out[span.ids[i]] += inv_t;
     }
   }
   return out;

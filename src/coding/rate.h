@@ -43,7 +43,7 @@ class RateScheme : public snn::CodingScheme {
                     snn::LayerRole role, std::size_t t,
                     snn::StageState& st) const override;
 
-  Tensor decode(const snn::SpikeRaster& in) const override;
+  Tensor decode(const snn::EventBuffer& in) const override;
 };
 
 }  // namespace tsnn::coding

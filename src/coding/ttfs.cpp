@@ -157,12 +157,13 @@ void TtfsScheme::step_readout(const EventBuffer& in, const SynapseTopology& syn,
   snn::propagate_step(in, t, m, syn, st.batch, st.u.data());
 }
 
-Tensor TtfsScheme::decode(const snn::SpikeRaster& in) const {
+Tensor TtfsScheme::decode(const EventBuffer& in) const {
   Tensor out{Shape{in.num_neurons()}};
   for (std::size_t t = 0; t < in.window(); ++t) {
     const float m = kernel_sum_scale_ * kernel(static_cast<std::int64_t>(t));
-    for (const std::uint32_t pre : in.at(t)) {
-      out[pre] += m;
+    const EventBuffer::StepSpan span = in.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      out[span.ids[i]] += m;
     }
   }
   return out;

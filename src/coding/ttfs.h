@@ -62,7 +62,7 @@ class TtfsScheme : public snn::CodingScheme {
                     snn::LayerRole role, std::size_t t,
                     snn::StageState& st) const override;
 
-  Tensor decode(const snn::SpikeRaster& in) const override;
+  Tensor decode(const snn::EventBuffer& in) const override;
 
   /// Exponential PSC kernel value exp(-t/tau).
   float kernel(std::int64_t t) const;

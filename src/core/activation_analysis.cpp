@@ -16,7 +16,9 @@ ActivationDistribution analyze_activation(const snn::CodingScheme& scheme,
 
   Tensor a{Shape{1}};
   a[0] = config.activation;
-  const snn::SpikeRaster clean = scheme.encode(a);
+  snn::SimWorkspace sim;
+  snn::EventBuffer clean;
+  scheme.encode_into(a, sim, clean);
   const float clean_value = scheme.decode(clean)[0];
 
   snn::NoiseModelPtr noise;
@@ -32,11 +34,15 @@ ActivationDistribution analyze_activation(const snn::CodingScheme& scheme,
                        ? weight_scaling_factor(config.deletion_p)
                        : 1.0f;
 
+  // Each trial corrupts a fresh copy of the clean train; copy-assignment
+  // reuses `noisy`'s storage, so the loop allocates only decode()'s tensor.
   Rng rng(config.seed);
   std::vector<float> delivered;
   delivered.reserve(config.trials);
+  snn::EventBuffer noisy;
   for (std::size_t i = 0; i < config.trials; ++i) {
-    const snn::SpikeRaster noisy = noise->apply(clean, rng);
+    noisy = clean;
+    noise->apply_inplace(noisy, sim.sort, rng);
     delivered.push_back(ws * scheme.decode(noisy)[0]);
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <utility>
@@ -34,6 +35,11 @@ double parse_double(const std::string& s, std::size_t line,
   const double v = std::strtod(t.c_str(), &end);
   if (t.empty() || end != t.c_str() + t.size()) {
     parse_error(line, std::string("bad ") + what + " '" + t + "'");
+  }
+  // strtod accepts "nan"/"inf" and overflows "1e999" to inf; NaN slips
+  // through every range check downstream, so reject them all here.
+  if (!std::isfinite(v)) {
+    parse_error(line, std::string("non-finite ") + what + " '" + t + "'");
   }
   return v;
 }

@@ -9,31 +9,16 @@ DeletionNoise::DeletionNoise(double p) : p_(p) {
   TSNN_CHECK_MSG(p_ >= 0.0 && p_ <= 1.0, "deletion probability out of [0,1]: " << p_);
 }
 
-snn::SpikeRaster DeletionNoise::apply(const snn::SpikeRaster& in, Rng& rng) const {
-  if (p_ == 0.0) {
-    return in;
-  }
-  snn::SpikeRaster out(in.num_neurons(), in.window());
-  for (std::size_t t = 0; t < in.window(); ++t) {
-    for (const std::uint32_t neuron : in.at(t)) {
-      if (!rng.bernoulli(p_)) {
-        out.add(t, neuron);
-      }
-    }
-  }
-  return out;
-}
-
 void DeletionNoise::apply_inplace(snn::EventBuffer& events,
                                   snn::EventSortScratch& scratch,
                                   Rng& rng) const {
   if (p_ == 0.0) {
     return;
   }
-  // Same event visit order and draw sequence as apply() -- time-major,
-  // emission order within a step, which is exactly the finalized stream
-  // order -- staged as a keep mask so the compaction itself can run
-  // through the SIMD dispatch table (EventBuffer::remove_by_mask).
+  // One Bernoulli draw per event in time-major emission order -- exactly
+  // the finalized stream order -- staged as a keep mask so the compaction
+  // itself can run through the SIMD dispatch table
+  // (EventBuffer::remove_by_mask).
   const std::size_t n = events.size();
   scratch.keep.resize(n);
   std::uint8_t* keep = scratch.keep.data();

@@ -11,7 +11,6 @@ class DeletionNoise : public snn::NoiseModel {
  public:
   explicit DeletionNoise(double p);
 
-  snn::SpikeRaster apply(const snn::SpikeRaster& in, Rng& rng) const override;
   /// In-place stream compaction: one Bernoulli draw per event, time-major.
   void apply_inplace(snn::EventBuffer& events, snn::EventSortScratch& scratch,
                      Rng& rng) const override;

@@ -9,24 +9,8 @@
 namespace tsnn::noise {
 
 JitterNoise::JitterNoise(double sigma) : sigma_(sigma) {
-  TSNN_CHECK_MSG(sigma_ >= 0.0, "jitter sigma must be non-negative");
-}
-
-snn::SpikeRaster JitterNoise::apply(const snn::SpikeRaster& in, Rng& rng) const {
-  if (sigma_ == 0.0) {
-    return in;
-  }
-  snn::SpikeRaster out(in.num_neurons(), in.window());
-  const auto last = static_cast<std::int64_t>(in.window()) - 1;
-  for (std::size_t t = 0; t < in.window(); ++t) {
-    for (const std::uint32_t neuron : in.at(t)) {
-      const auto shift = static_cast<std::int64_t>(std::lround(rng.normal(0.0, sigma_)));
-      const std::int64_t shifted =
-          std::clamp<std::int64_t>(static_cast<std::int64_t>(t) + shift, 0, last);
-      out.add(static_cast<std::size_t>(shifted), neuron);
-    }
-  }
-  return out;
+  TSNN_CHECK_MSG(std::isfinite(sigma_) && sigma_ >= 0.0,
+                 "jitter sigma must be finite and non-negative: " << sigma_);
 }
 
 void JitterNoise::apply_inplace(snn::EventBuffer& events,
@@ -35,8 +19,8 @@ void JitterNoise::apply_inplace(snn::EventBuffer& events,
   if (sigma_ == 0.0) {
     return;
   }
-  // Same draw sequence as apply(); the stable re-bucket reproduces the
-  // raster path's within-step ordering (draw order == insertion order).
+  // One Gaussian draw per event in time-major order; the stable re-bucket
+  // keeps events that land on the same step in draw order.
   const auto last = static_cast<std::int64_t>(events.window()) - 1;
   events.remap_times(
       [&](std::int32_t t, std::uint32_t /*neuron*/) {

@@ -6,13 +6,12 @@
 
 namespace tsnn::noise {
 
-/// Per-spike Gaussian time jitter, clamped into the raster window so spike
+/// Per-spike Gaussian time jitter, clamped into the train's window so spike
 /// *count* is preserved (only timing is corrupted).
 class JitterNoise : public snn::NoiseModel {
  public:
   explicit JitterNoise(double sigma);
 
-  snn::SpikeRaster apply(const snn::SpikeRaster& in, Rng& rng) const override;
   /// In-place time rewrite + stable counting-sort re-bucket via `scratch`;
   /// one Gaussian draw per event, time-major.
   void apply_inplace(snn::EventBuffer& events, snn::EventSortScratch& scratch,

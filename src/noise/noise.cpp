@@ -13,14 +13,6 @@ CompositeNoise::CompositeNoise(std::vector<snn::NoiseModelPtr> models)
   }
 }
 
-snn::SpikeRaster CompositeNoise::apply(const snn::SpikeRaster& in, Rng& rng) const {
-  snn::SpikeRaster out = in;
-  for (const auto& m : models_) {
-    out = m->apply(out, rng);
-  }
-  return out;
-}
-
 void CompositeNoise::apply_inplace(snn::EventBuffer& events,
                                    snn::EventSortScratch& scratch,
                                    Rng& rng) const {
@@ -39,10 +31,6 @@ std::string CompositeNoise::name() const {
   }
   out += "]";
   return out;
-}
-
-snn::SpikeRaster NoNoise::apply(const snn::SpikeRaster& in, Rng& /*rng*/) const {
-  return in;
 }
 
 void NoNoise::apply_inplace(snn::EventBuffer& /*events*/,

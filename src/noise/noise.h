@@ -18,16 +18,15 @@ namespace tsnn::noise {
 ///     trains (different events survive AND the rng draw sequences diverge
 ///     after the first stage). Scenario specs therefore treat the stack as
 ///     an ordered list, and name() reports members in application order.
-///   - Both entry points compose identically: apply() chains the members'
-///     raster paths, apply_inplace() chains their in-place paths over one
-///     EventBuffer, and each member consumes the rng in the same order on
-///     either path -- so raster and in-place results stay bit-identical for
-///     stacks of any depth, not just for the single models.
+///   - apply_inplace() chains the members over one EventBuffer and one
+///     shared rng, so composition is associative: composite[a + composite[b
+///     + c]] corrupts exactly like composite[a + b + c]. For stacks of any
+///     depth the result matches the test-only reference loops
+///     (tests/spike_test_util.h) chained in the same order.
 class CompositeNoise : public snn::NoiseModel {
  public:
   explicit CompositeNoise(std::vector<snn::NoiseModelPtr> models);
 
-  snn::SpikeRaster apply(const snn::SpikeRaster& in, Rng& rng) const override;
   void apply_inplace(snn::EventBuffer& events, snn::EventSortScratch& scratch,
                      Rng& rng) const override;
   std::string name() const override;
@@ -41,7 +40,6 @@ class CompositeNoise : public snn::NoiseModel {
 /// Identity noise (useful as a sweep baseline).
 class NoNoise : public snn::NoiseModel {
  public:
-  snn::SpikeRaster apply(const snn::SpikeRaster& in, Rng& rng) const override;
   void apply_inplace(snn::EventBuffer& events, snn::EventSortScratch& scratch,
                      Rng& rng) const override;
   std::string name() const override { return "clean"; }

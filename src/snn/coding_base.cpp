@@ -45,28 +45,4 @@ void CodingScheme::finish_readout(const SynapseTopology& syn, StageState& st,
   }
 }
 
-SpikeRaster CodingScheme::encode(const Tensor& activations) const {
-  SimWorkspace ws;
-  encode_into(activations, ws, ws.cur);
-  return ws.cur.to_raster();
-}
-
-SpikeRaster CodingScheme::run_layer(const SpikeRaster& in,
-                                    const SynapseTopology& syn,
-                                    LayerRole role) const {
-  SimWorkspace ws;
-  ws.cur.assign_from(in, ws.sort);
-  run_layer_into(ws.cur, syn, role, ws, ws.next);
-  return ws.next.to_raster();
-}
-
-Tensor CodingScheme::readout(const SpikeRaster& in, const SynapseTopology& syn,
-                             LayerRole role) const {
-  SimWorkspace ws;
-  ws.cur.assign_from(in, ws.sort);
-  Tensor logits{Shape{syn.out_size()}};
-  readout_into(ws.cur, syn, role, ws, logits.data());
-  return logits;
-}
-
 }  // namespace tsnn::snn

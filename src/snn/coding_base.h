@@ -6,20 +6,17 @@
 // phase, burst, TTFS) live in src/coding/; the paper's contribution (TTAS)
 // lives in src/core/.
 //
-// The primary interface is the event-buffer path (encode_into /
-// run_layer_into / readout_into): schemes emit directly into a caller-owned
+// Every entry point works on EventBuffers (encode_into / run_layer_into /
+// readout_into / decode): schemes emit directly into a caller-owned
 // EventBuffer and lease scratch from the caller's SimWorkspace, so the
-// simulator's steady state allocates nothing. The SpikeRaster-based
-// encode/run_layer/readout entry points remain as thin non-virtual
-// adapters (they stand up a transient workspace and convert) for tests,
-// analyses, and exploratory code.
+// simulator's steady state allocates nothing. Analyses and tests use the
+// same calls on a workspace they keep across trials.
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "snn/event_buffer.h"
-#include "snn/spike.h"
 #include "snn/topology.h"
 #include "snn/workspace.h"
 #include "tensor/tensor.h"
@@ -150,20 +147,10 @@ class CodingScheme {
   virtual void finish_readout(const SynapseTopology& syn, StageState& st,
                               float* logits) const;
 
-  /// Decodes an encoder-convention spike train back to activation estimates
-  /// (per neuron). Exercised by round-trip property tests and analyses.
-  virtual Tensor decode(const SpikeRaster& in) const = 0;
-
-  // Raster adapters -------------------------------------------------------
-  // Convenience wrappers over the event path for tests/analyses; each call
-  // stands up a transient SimWorkspace and converts, so they are NOT for
-  // hot loops.
-
-  SpikeRaster encode(const Tensor& activations) const;
-  SpikeRaster run_layer(const SpikeRaster& in, const SynapseTopology& syn,
-                        LayerRole role) const;
-  Tensor readout(const SpikeRaster& in, const SynapseTopology& syn,
-                 LayerRole role) const;
+  /// Decodes a finalized encoder-convention spike train back to activation
+  /// estimates (per neuron), summing arrivals step by step in emission
+  /// order. Exercised by round-trip property tests and analyses.
+  virtual Tensor decode(const EventBuffer& in) const = 0;
 
   const CodingParams& params() const { return params_; }
 
@@ -189,18 +176,6 @@ inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
   }
   batch.assign(span.ids, span.count, m);
   syn.propagate_accum(batch, u);
-}
-
-/// SpikeRaster overload, kept for micro-benchmarks and reference code.
-inline void propagate_step(const SpikeRaster& in, std::size_t t, float m,
-                           const SynapseTopology& syn, SpikeBatch& batch,
-                           float* u) {
-  const std::vector<std::uint32_t>& ids = in.at(t);
-  if (ids.empty()) {
-    return;
-  }
-  batch.assign(ids, m);
-  syn.propagate(batch, u);
 }
 
 }  // namespace tsnn::snn

@@ -76,28 +76,4 @@ void EventBuffer::remove_by_mask(const std::uint8_t* keep) {
   neurons_.resize(w);
 }
 
-void EventBuffer::assign_from(const SpikeRaster& raster,
-                              EventSortScratch& scratch) {
-  reset(raster.num_neurons(), raster.window());
-  for (std::size_t t = 0; t < raster.window(); ++t) {
-    for (const std::uint32_t neuron : raster.at(t)) {
-      push(static_cast<std::int32_t>(t), neuron);
-    }
-  }
-  finalize(scratch);
-}
-
-SpikeRaster EventBuffer::to_raster() const {
-  check_finalized();
-  SpikeRaster raster(num_neurons_, window_);
-  for (std::size_t t = 0; t < window_; ++t) {
-    const std::uint32_t* ids = step_begin(t);
-    const std::size_t n = step_count(t);
-    for (std::size_t i = 0; i < n; ++i) {
-      raster.add(t, ids[i]);
-    }
-  }
-  return raster;
-}
-
 }  // namespace tsnn::snn

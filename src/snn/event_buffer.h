@@ -1,10 +1,17 @@
-// Flat spike-event buffer -- the hot-path spike-train representation.
+// Flat spike-event buffer -- TSNN's one spike-train representation.
+//
+// TSNN spikes are pure events (neuron id, integer timestep). Everything a
+// spike "carries" -- rate unit charge, phase weight, burst gain, exponential
+// TTFS kernel value -- is computed by the *receiving* synapse from the
+// arrival time and history (see coding_base.h). This mirrors physical
+// neuromorphic links and is what makes the paper's noise effects emerge:
+// deleting or time-shifting an event corrupts exactly the quantity the
+// coding scheme relies on.
 //
 // An EventBuffer stores one layer's spike train as parallel SoA arrays
 // (times[], neurons[]) bucketed by timestep through a CSR offset table:
 // the events of step t occupy [offsets[t], offsets[t+1]) and, within a
-// step, keep their emission order. Unlike SpikeRaster's
-// vector-of-vectors buckets, the storage is three flat arrays whose
+// step, keep their emission order. The storage is three flat arrays whose
 // capacity only ever grows, so a buffer owned by a reusable SimWorkspace
 // performs zero heap allocations once warm -- the FFmpeg buffer-pool
 // discipline applied to spike trains.
@@ -13,16 +20,13 @@
 // if the pushes were already time-ordered (rate/phase/burst emit
 // timestep-major) finalizing just builds the offset table, otherwise a
 // stable counting sort re-buckets into caller-provided scratch.
-// Consumers read per-step spans (step_begin/step_count) or the flat
-// arrays. Noise models mutate the buffer in place: remove_if_not()
-// compacts the stream and remap_times() re-buckets after rewriting times,
-// both visiting events in time-major order so RNG draw order matches the
-// historical SpikeRaster implementations exactly (fixed seeds reproduce
-// bit-identical corruption).
-//
-// SpikeRaster (spike.h) remains the conversion/reporting type for tests,
-// spike_stats, and figure-style analyses; assign_from()/to_raster()
-// bridge the two.
+// Consumers -- the simulator, decode(), analyses and figures -- read
+// per-step spans (step/step_begin/step_count) or the flat arrays. Noise
+// models mutate the buffer in place: remove_by_mask()/remove_if_not()
+// compact the stream and remap_times() re-buckets after rewriting times,
+// all visiting events in time-major emission order -- the RNG draw-order
+// contract that keeps fixed-seed corruption reproducible (golden vectors in
+// tests/test_event_buffer.cpp).
 #pragma once
 
 #include <cstdint>
@@ -30,15 +34,14 @@
 
 #include "common/aligned.h"
 #include "common/error.h"
-#include "snn/spike.h"
 
 namespace tsnn::snn {
 
-/// Reusable scratch for EventBuffer::finalize's stable counting sort and
-/// assign_from, plus the noise models' keep-mask staging. Owned by
-/// SimWorkspace so re-bucketing allocates nothing once warm; must not be
-/// shared across threads. The scatter destinations are aligned_vectors
-/// because finalize() swaps them into the buffer's own (aligned) storage.
+/// Reusable scratch for EventBuffer::finalize's stable counting sort, plus
+/// the noise models' keep-mask staging. Owned by SimWorkspace so
+/// re-bucketing allocates nothing once warm; must not be shared across
+/// threads. The scatter destinations are aligned_vectors because
+/// finalize() swaps them into the buffer's own (aligned) storage.
 struct EventSortScratch {
   std::vector<std::uint32_t> cursor;       ///< per-step scatter cursors
   aligned_vector<std::int32_t> times;      ///< scatter destination, swapped in
@@ -167,8 +170,8 @@ class EventBuffer {
   /// In-place time rewrite: every event's time becomes
   /// `fn(time, neuron)` (must land in [0, window)), visiting events in
   /// time-major order, then re-buckets. Events that map to the same step
-  /// keep their visit order (stable), matching the historical jitter
-  /// semantics of appending to raster buckets in draw order.
+  /// keep their visit order (stable): within a step, events land in draw
+  /// order.
   template <typename Fn>
   void remap_times(Fn&& fn, EventSortScratch& scratch) {
     check_finalized();
@@ -183,10 +186,6 @@ class EventBuffer {
     finalized_ = false;
     finalize(scratch);
   }
-
-  /// Conversion bridges to the reporting type.
-  void assign_from(const SpikeRaster& raster, EventSortScratch& scratch);
-  SpikeRaster to_raster() const;
 
  private:
   void check_finalized() const {

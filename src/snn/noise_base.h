@@ -5,13 +5,13 @@
 // noisy output spikes -- deletion and jitter -- applied to every layer's
 // output train including the input encoder's.
 //
-// The hot path is apply_inplace(): the simulator hands each stage's
-// EventBuffer to the noise model, which corrupts it in place (deletion
-// compacts the stream, jitter rewrites times and re-buckets) using only
-// the caller's scratch -- no allocation once the workspace is warm. The
-// raster-based apply() remains for tests and analyses; both paths visit
-// events in time-major emission order, so for a fixed seed they draw the
-// same randomness and produce identical corruption.
+// apply_inplace() is the one entry point: the simulator (and every analysis)
+// hands a finalized EventBuffer to the noise model, which corrupts it in
+// place (deletion compacts the stream, jitter rewrites times and re-buckets)
+// using only the caller's scratch -- no allocation once the workspace is
+// warm. Events are visited in time-major emission order, so a fixed seed
+// reproduces the exact corruption (pinned by golden vectors in
+// tests/test_event_buffer.cpp).
 #pragma once
 
 #include <memory>
@@ -19,7 +19,6 @@
 
 #include "common/rng.h"
 #include "snn/event_buffer.h"
-#include "snn/spike.h"
 
 namespace tsnn::snn {
 
@@ -28,17 +27,12 @@ class NoiseModel {
  public:
   virtual ~NoiseModel() = default;
 
-  /// Returns the corrupted train. Implementations draw randomness from
-  /// `rng` only, so a fixed seed reproduces the exact corruption.
-  virtual SpikeRaster apply(const SpikeRaster& in, Rng& rng) const = 0;
-
-  /// Corrupts `events` in place (hot path). Must consume `rng` in the same
-  /// order as apply() -- events visited time-major -- so fixed-seed results
-  /// are identical across the two entry points. The default adapter round-
-  /// trips through apply() via SpikeRaster (allocating); TSNN's own models
-  /// override it with allocation-free implementations.
+  /// Corrupts the finalized `events` in place and leaves them finalized.
+  /// Implementations draw randomness from `rng` only, one draw sequence per
+  /// event in time-major order, so a fixed seed reproduces the exact
+  /// corruption.
   virtual void apply_inplace(EventBuffer& events, EventSortScratch& scratch,
-                             Rng& rng) const;
+                             Rng& rng) const = 0;
 
   /// Human-readable description ("deletion(p=0.5)").
   virtual std::string name() const = 0;

@@ -53,14 +53,9 @@ class SpikeBatch {
     mag_.push_back(m);
   }
 
-  /// Replaces the contents with `ids`, all at uniform magnitude `m` (the
-  /// common case: rate/phase/TTFS magnitudes depend on t, not on the spike).
-  void assign(const std::vector<std::uint32_t>& ids, float m) {
-    pre_.assign(ids.begin(), ids.end());
-    mag_.assign(ids.size(), m);
-  }
-
-  /// Pointer-range overload of assign() for EventBuffer per-step spans.
+  /// Replaces the contents with the `n` ids of an EventBuffer step span,
+  /// all at uniform magnitude `m` (the common case: rate/phase/TTFS
+  /// magnitudes depend on t, not on the spike).
   void assign(const std::uint32_t* ids, std::size_t n, float m) {
     pre_.assign(ids, ids + n);
     mag_.assign(n, m);

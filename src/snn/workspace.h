@@ -10,8 +10,8 @@
 // "Event buffers & the zero-allocation workspace").
 //
 // A workspace is single-threaded state: snn::evaluate keeps one per worker
-// thread, NoiseRobustPipeline keeps one for run(), and the raster-based
-// CodingScheme adapters build a transient one per call. Sharing a
+// thread, NoiseRobustPipeline keeps one for run(), and analyses such as
+// core::analyze_activation keep one across their trials. Sharing a
 // workspace across concurrent simulations is a data race.
 #pragma once
 
@@ -98,7 +98,7 @@ struct StageState {
 struct SimWorkspace {
   EventBuffer cur;        ///< spike train entering the current stage
   EventBuffer next;       ///< spike train the current stage emits
-  EventSortScratch sort;  ///< counting-sort / conversion scratch
+  EventSortScratch sort;  ///< counting-sort / noise keep-mask scratch
   SpikeBatch batch;       ///< per-step propagation batch
 
   // The SIMD-streamed buffers (potentials, encoder charge, the firing

@@ -1,0 +1,182 @@
+// Test-only helpers over snn::EventBuffer, the library's one spike-train
+// type: building trains from (t, neuron) pairs, flattening them back to
+// events, per-neuron views, one-call scheme helpers on a transient
+// workspace, and the reference deletion/jitter loops that the in-place
+// noise models are checked against.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "snn/coding_base.h"
+#include "snn/event_buffer.h"
+#include "snn/noise_base.h"
+#include "snn/workspace.h"
+#include "tensor/tensor.h"
+
+namespace tsnn::snn::test {
+
+/// One spike: emitting neuron and discrete emission time.
+struct SpikeEvent {
+  std::uint32_t neuron = 0;
+  std::int32_t time = 0;
+
+  friend bool operator==(const SpikeEvent&, const SpikeEvent&) = default;
+};
+
+/// Finalized train over `num_neurons` x `window` from (t, neuron) pairs,
+/// pushed in the given order (so same-step events keep that order).
+inline EventBuffer make_train(
+    std::size_t num_neurons, std::size_t window,
+    const std::vector<std::pair<std::int32_t, std::uint32_t>>& spikes) {
+  EventBuffer train;
+  train.reset(num_neurons, window);
+  for (const auto& [t, neuron] : spikes) {
+    train.push(t, neuron);
+  }
+  EventSortScratch scratch;
+  train.finalize(scratch);
+  return train;
+}
+
+/// Finalized train in which every neuron spikes at every step.
+inline EventBuffer full_train(std::size_t num_neurons, std::size_t window) {
+  std::vector<std::pair<std::int32_t, std::uint32_t>> spikes;
+  for (std::size_t t = 0; t < window; ++t) {
+    for (std::uint32_t n = 0; n < num_neurons; ++n) {
+      spikes.emplace_back(static_cast<std::int32_t>(t), n);
+    }
+  }
+  return make_train(num_neurons, window, spikes);
+}
+
+/// Events of a finalized train, time-major, emission order within a step.
+inline std::vector<SpikeEvent> events_of(const EventBuffer& train) {
+  std::vector<SpikeEvent> out;
+  out.reserve(train.size());
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    out.push_back(SpikeEvent{train.neurons()[i], train.times()[i]});
+  }
+  return out;
+}
+
+/// Spikes emitted by each neuron (length num_neurons()).
+inline std::vector<std::size_t> spike_counts(const EventBuffer& train) {
+  std::vector<std::size_t> counts(train.num_neurons(), 0);
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    ++counts[train.neurons()[i]];
+  }
+  return counts;
+}
+
+/// First spike time of each neuron (length num_neurons(), -1 = silent).
+inline std::vector<std::int32_t> first_spike_times(const EventBuffer& train) {
+  std::vector<std::int32_t> first(train.num_neurons(), -1);
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    std::int32_t& f = first[train.neurons()[i]];
+    if (f < 0) {
+      f = train.times()[i];  // events are time-major: the first hit wins
+    }
+  }
+  return first;
+}
+
+// One-call scheme helpers. Each stands up a transient SimWorkspace, so they
+// are for tests only; production callers keep a workspace across calls.
+
+inline EventBuffer encode(const CodingScheme& scheme, const Tensor& a) {
+  SimWorkspace ws;
+  EventBuffer out;
+  scheme.encode_into(a, ws, out);
+  return out;
+}
+
+inline EventBuffer run_layer(const CodingScheme& scheme, const EventBuffer& in,
+                             const SynapseTopology& syn, LayerRole role) {
+  SimWorkspace ws;
+  EventBuffer out;
+  scheme.run_layer_into(in, syn, role, ws, out);
+  return out;
+}
+
+inline Tensor readout(const CodingScheme& scheme, const EventBuffer& in,
+                      const SynapseTopology& syn, LayerRole role) {
+  SimWorkspace ws;
+  Tensor logits{Shape{syn.out_size()}};
+  scheme.readout_into(in, syn, role, ws, logits.data());
+  return logits;
+}
+
+/// Copy of `in` corrupted by `noise` (apply_inplace on the copy).
+inline EventBuffer corrupted(const NoiseModel& noise, const EventBuffer& in,
+                             Rng& rng) {
+  EventBuffer out = in;
+  EventSortScratch scratch;
+  noise.apply_inplace(out, scratch, rng);
+  return out;
+}
+
+// Reference noise loops: the per-step bucket implementations the library
+// ran before the in-place EventBuffer models. They visit events time-major
+// and append survivors to per-step buckets in visit order, independently of
+// EventBuffer's compaction kernel and counting sort, so a fixed seed must
+// make them agree with DeletionNoise/JitterNoise::apply_inplace exactly.
+
+/// Train rebuilt from per-step neuron buckets, in bucket order.
+inline EventBuffer from_buckets(
+    std::size_t num_neurons,
+    const std::vector<std::vector<std::uint32_t>>& buckets) {
+  std::vector<std::pair<std::int32_t, std::uint32_t>> spikes;
+  for (std::size_t t = 0; t < buckets.size(); ++t) {
+    for (const std::uint32_t neuron : buckets[t]) {
+      spikes.emplace_back(static_cast<std::int32_t>(t), neuron);
+    }
+  }
+  return make_train(num_neurons, buckets.size(), spikes);
+}
+
+/// Reference Bernoulli deletion: one draw per event, drop on success.
+inline EventBuffer reference_deletion(const EventBuffer& in, double p,
+                                      Rng& rng) {
+  if (p == 0.0) {
+    return in;
+  }
+  std::vector<std::vector<std::uint32_t>> out(in.window());
+  for (std::size_t t = 0; t < in.window(); ++t) {
+    const EventBuffer::StepSpan span = in.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      if (!rng.bernoulli(p)) {
+        out[t].push_back(span.ids[i]);
+      }
+    }
+  }
+  return from_buckets(in.num_neurons(), out);
+}
+
+/// Reference jitter: one rounded Gaussian shift per event, clamped into
+/// the window.
+inline EventBuffer reference_jitter(const EventBuffer& in, double sigma,
+                                    Rng& rng) {
+  if (sigma == 0.0) {
+    return in;
+  }
+  std::vector<std::vector<std::uint32_t>> out(in.window());
+  const auto last = static_cast<std::int64_t>(in.window()) - 1;
+  for (std::size_t t = 0; t < in.window(); ++t) {
+    const EventBuffer::StepSpan span = in.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      const auto shift =
+          static_cast<std::int64_t>(std::lround(rng.normal(0.0, sigma)));
+      const std::int64_t shifted = std::clamp<std::int64_t>(
+          static_cast<std::int64_t>(t) + shift, 0, last);
+      out[static_cast<std::size_t>(shifted)].push_back(span.ids[i]);
+    }
+  }
+  return from_buckets(in.num_neurons(), out);
+}
+
+}  // namespace tsnn::snn::test

@@ -7,6 +7,7 @@
 #include "coding/registry.h"
 #include "common/rng.h"
 #include "core/ttas.h"
+#include "spike_test_util.h"
 
 namespace tsnn {
 namespace {
@@ -14,6 +15,7 @@ namespace {
 using snn::Coding;
 using snn::CodingParams;
 using snn::CodingScheme;
+using snn::test::encode;
 
 struct RoundTripCase {
   Coding coding;
@@ -38,8 +40,7 @@ TEST_P(CodingRoundTrip, RecoversActivationsWithinTolerance) {
   for (std::size_t i = 0; i < n; ++i) {
     a[i] = static_cast<float>(rng.uniform(0.05, 0.95));
   }
-  const snn::SpikeRaster raster = scheme->encode(a);
-  const Tensor decoded = scheme->decode(raster);
+  const Tensor decoded = scheme->decode(encode(*scheme, a));
   ASSERT_EQ(decoded.numel(), n);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(decoded[i], a[i], GetParam().tolerance)
@@ -50,9 +51,9 @@ TEST_P(CodingRoundTrip, RecoversActivationsWithinTolerance) {
 TEST_P(CodingRoundTrip, ZeroActivationsProduceNoSpikes) {
   const auto scheme = make();
   Tensor a{Shape{8}};
-  const snn::SpikeRaster raster = scheme->encode(a);
-  EXPECT_EQ(raster.total_spikes(), 0u);
-  const Tensor decoded = scheme->decode(raster);
+  const snn::EventBuffer train = encode(*scheme, a);
+  EXPECT_EQ(train.size(), 0u);
+  const Tensor decoded = scheme->decode(train);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_FLOAT_EQ(decoded[i], 0.0f);
   }
@@ -64,7 +65,7 @@ TEST_P(CodingRoundTrip, DecodeIsMonotoneInActivation) {
   for (std::size_t i = 0; i < 9; ++i) {
     a[i] = 0.1f + 0.1f * static_cast<float>(i);
   }
-  const Tensor decoded = scheme->decode(scheme->encode(a));
+  const Tensor decoded = scheme->decode(encode(*scheme, a));
   for (std::size_t i = 1; i < 9; ++i) {
     EXPECT_GE(decoded[i], decoded[i - 1] - 1e-4f) << scheme->name();
   }
@@ -77,7 +78,8 @@ TEST_P(CodingRoundTrip, EncodeDeterministic) {
   for (std::size_t i = 0; i < 16; ++i) {
     a[i] = static_cast<float>(rng.uniform());
   }
-  EXPECT_EQ(scheme->encode(a).to_events(), scheme->encode(a).to_events());
+  EXPECT_EQ(snn::test::events_of(encode(*scheme, a)),
+            snn::test::events_of(encode(*scheme, a)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -102,13 +104,13 @@ TEST(CodingSpikeCounts, TtfsUsesFewestSpikes) {
     a[i] = static_cast<float>(rng.uniform(0.2, 0.9));
   }
   const std::size_t rate_spikes =
-      coding::make_scheme(Coding::kRate)->encode(a).total_spikes();
+      encode(*coding::make_scheme(Coding::kRate), a).size();
   const std::size_t phase_spikes =
-      coding::make_scheme(Coding::kPhase)->encode(a).total_spikes();
+      encode(*coding::make_scheme(Coding::kPhase), a).size();
   const std::size_t burst_spikes =
-      coding::make_scheme(Coding::kBurst)->encode(a).total_spikes();
+      encode(*coding::make_scheme(Coding::kBurst), a).size();
   const std::size_t ttfs_spikes =
-      coding::make_scheme(Coding::kTtfs)->encode(a).total_spikes();
+      encode(*coding::make_scheme(Coding::kTtfs), a).size();
   EXPECT_LT(ttfs_spikes, burst_spikes);
   EXPECT_LT(ttfs_spikes, phase_spikes);
   EXPECT_LT(ttfs_spikes, rate_spikes);
@@ -121,9 +123,9 @@ TEST(CodingSpikeCounts, TtasSpikesScaleWithBurstDuration) {
   for (std::size_t i = 0; i < 16; ++i) {
     a[i] = 0.5f;
   }
-  const std::size_t s1 = core::make_ttas(1)->encode(a).total_spikes();
-  const std::size_t s3 = core::make_ttas(3)->encode(a).total_spikes();
-  const std::size_t s5 = core::make_ttas(5)->encode(a).total_spikes();
+  const std::size_t s1 = encode(*core::make_ttas(1), a).size();
+  const std::size_t s3 = encode(*core::make_ttas(3), a).size();
+  const std::size_t s5 = encode(*core::make_ttas(5), a).size();
   EXPECT_EQ(s1, 16u);
   EXPECT_EQ(s3, 48u);
   EXPECT_EQ(s5, 80u);

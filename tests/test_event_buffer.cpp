@@ -1,7 +1,8 @@
-// Tests for the flat EventBuffer hot-path representation: CSR bucketing,
-// raster round trips, in-place noise equivalence against the raster path,
-// and fixed-seed golden vectors captured from the pre-event-buffer
-// implementation (PR 2) -- pinning that the rewrite is bit-identical.
+// Tests for the flat EventBuffer spike-train representation: CSR bucketing,
+// copies, in-place noise equivalence against the reference bucket loops
+// (spike_test_util.h), and fixed-seed golden vectors captured from the
+// pre-event-buffer implementation -- pinning that the rewrite is
+// bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,29 +18,25 @@
 #include "snn/simulator.h"
 #include "snn/topology.h"
 #include "snn/workspace.h"
+#include "spike_test_util.h"
 
 namespace tsnn::snn {
 namespace {
 
-/// The deterministic raster the golden vectors below were captured from.
-SpikeRaster golden_input() {
-  SpikeRaster r(6, 16);
-  for (std::size_t t = 0; t < 16; ++t) {
+using test::events_of;
+using test::SpikeEvent;
+
+/// The deterministic train the golden vectors below were captured from.
+EventBuffer golden_input() {
+  std::vector<std::pair<std::int32_t, std::uint32_t>> spikes;
+  for (std::int32_t t = 0; t < 16; ++t) {
     for (std::uint32_t n = 0; n < 6; ++n) {
       if ((t * 7 + n * 3) % 5 < 2) {
-        r.add(t, n);
+        spikes.emplace_back(t, n);
       }
     }
   }
-  return r;
-}
-
-std::vector<SpikeEvent> events_of(const EventBuffer& buf) {
-  std::vector<SpikeEvent> out;
-  for (std::size_t i = 0; i < buf.size(); ++i) {
-    out.push_back(SpikeEvent{buf.neurons()[i], buf.times()[i]});
-  }
-  return out;
+  return test::make_train(6, 16, spikes);
 }
 
 TEST(EventBuffer, PushFinalizeBucketsSortedInput) {
@@ -87,22 +84,24 @@ TEST(EventBuffer, PushValidatesBounds) {
   EXPECT_THROW(buf.push(0, 2), InvalidArgument);
 }
 
-TEST(EventBuffer, RasterRoundTripPreservesEverything) {
-  const SpikeRaster in = golden_input();
+TEST(EventBuffer, CopyPreservesEverything) {
+  const EventBuffer in = golden_input();
   EventBuffer buf;
-  EventSortScratch scratch;
-  buf.assign_from(in, scratch);
-  EXPECT_EQ(buf.size(), in.total_spikes());
+  buf.reset(2, 3);
+  buf = in;  // copy-assignment into a buffer of another shape
+  EXPECT_TRUE(buf.finalized());
+  EXPECT_EQ(buf.size(), in.size());
   EXPECT_EQ(buf.num_neurons(), in.num_neurons());
   EXPECT_EQ(buf.window(), in.window());
-  const SpikeRaster back = buf.to_raster();
-  EXPECT_EQ(back.to_events(), in.to_events());
+  EXPECT_EQ(events_of(buf), events_of(in));
+  for (std::size_t t = 0; t < in.window(); ++t) {
+    EXPECT_EQ(buf.step_count(t), in.step_count(t)) << "step " << t;
+  }
 }
 
 TEST(EventBuffer, ResetRecyclesCapacityAcrossShapes) {
-  EventBuffer buf;
+  EventBuffer buf = golden_input();
   EventSortScratch scratch;
-  buf.assign_from(golden_input(), scratch);
   buf.reset(3, 5);
   EXPECT_EQ(buf.size(), 0u);
   buf.push(4, 2);
@@ -111,9 +110,7 @@ TEST(EventBuffer, ResetRecyclesCapacityAcrossShapes) {
 }
 
 TEST(EventBuffer, RemoveIfNotCompactsAndRebuildsOffsets) {
-  EventBuffer buf;
-  EventSortScratch scratch;
-  buf.assign_from(golden_input(), scratch);
+  EventBuffer buf = golden_input();
   const std::size_t before = buf.size();
   buf.remove_if_not([](std::int32_t t, std::uint32_t) { return t % 2 == 0; });
   EXPECT_LT(buf.size(), before);
@@ -123,8 +120,14 @@ TEST(EventBuffer, RemoveIfNotCompactsAndRebuildsOffsets) {
     }
   }
   // Flat arrays and CSR stay consistent after compaction.
-  const SpikeRaster back = buf.to_raster();
-  EXPECT_EQ(back.total_spikes(), buf.size());
+  std::size_t per_step = 0;
+  for (std::size_t t = 0; t < buf.window(); ++t) {
+    for (std::size_t i = 0; i < buf.step_count(t); ++i) {
+      EXPECT_EQ(buf.times()[per_step + i], static_cast<std::int32_t>(t));
+    }
+    per_step += buf.step_count(t);
+  }
+  EXPECT_EQ(per_step, buf.size());
 }
 
 TEST(EventBuffer, RemapTimesRebucketsStably) {
@@ -145,29 +148,31 @@ TEST(EventBuffer, RemapTimesRebucketsStably) {
 }
 
 // ---------------------------------------------------------------------------
-// Raster-path vs event-path noise equivalence: both must consume the RNG in
-// the same order and produce identical spike trains for any fixed seed.
-
-void expect_paths_identical(const NoiseModel& noise, std::uint64_t seed) {
-  const SpikeRaster in = golden_input();
-  Rng rng_raster(seed);
-  const SpikeRaster via_raster = noise.apply(in, rng_raster);
-
-  EventBuffer buf;
-  EventSortScratch scratch;
-  buf.assign_from(in, scratch);
-  Rng rng_events(seed);
-  noise.apply_inplace(buf, scratch, rng_events);
-  EXPECT_EQ(buf.to_raster().to_events(), via_raster.to_events())
-      << noise.name() << " seed " << seed;
-}
+// In-place noise vs the reference bucket loops: both must consume the RNG
+// in the same order and produce identical spike trains for any fixed seed.
 
 TEST(NoisePathEquivalence, DeletionJitterCompositeAgree) {
+  const EventBuffer in = golden_input();
+  const auto composite = noise::make_deletion_jitter(0.3, 2.0);
   for (const std::uint64_t seed : {1ull, 42ull, 0xBEEFull, 987654321ull}) {
-    expect_paths_identical(noise::DeletionNoise(0.4), seed);
-    expect_paths_identical(noise::JitterNoise(1.7), seed);
-    const auto composite = noise::make_deletion_jitter(0.3, 2.0);
-    expect_paths_identical(*composite, seed);
+    Rng rng_ref(seed);
+    Rng rng(seed);
+    EXPECT_EQ(events_of(test::corrupted(noise::DeletionNoise(0.4), in, rng)),
+              events_of(test::reference_deletion(in, 0.4, rng_ref)))
+        << "deletion seed " << seed;
+
+    rng_ref = Rng(seed);
+    rng = Rng(seed);
+    EXPECT_EQ(events_of(test::corrupted(noise::JitterNoise(1.7), in, rng)),
+              events_of(test::reference_jitter(in, 1.7, rng_ref)))
+        << "jitter seed " << seed;
+
+    rng_ref = Rng(seed);
+    rng = Rng(seed);
+    const EventBuffer ref = test::reference_jitter(
+        test::reference_deletion(in, 0.3, rng_ref), 2.0, rng_ref);
+    EXPECT_EQ(events_of(test::corrupted(*composite, in, rng)), events_of(ref))
+        << composite->name() << " seed " << seed;
   }
 }
 
@@ -188,9 +193,9 @@ std::vector<SpikeEvent> ev(std::initializer_list<std::pair<int, unsigned>> list)
 }
 
 TEST(NoiseGolden, DeletionP04Seed123) {
-  const SpikeRaster in = golden_input();
+  const EventBuffer in = golden_input();
   Rng rng(123);
-  const auto got = noise::DeletionNoise(0.4).apply(in, rng).to_events();
+  const auto got = events_of(test::corrupted(noise::DeletionNoise(0.4), in, rng));
   const auto expected = ev({{0, 2}, {0, 5}, {2, 2}, {3, 0}, {3, 3}, {3, 5},
                             {4, 1}, {4, 4}, {5, 5}, {7, 2}, {7, 4}, {8, 5},
                             {10, 2}, {10, 5}, {11, 1}, {11, 3}, {12, 2},
@@ -199,9 +204,9 @@ TEST(NoiseGolden, DeletionP04Seed123) {
 }
 
 TEST(NoiseGolden, JitterSigma15Seed321) {
-  const SpikeRaster in = golden_input();
+  const EventBuffer in = golden_input();
   Rng rng(321);
-  const auto got = noise::JitterNoise(1.5).apply(in, rng).to_events();
+  const auto got = events_of(test::corrupted(noise::JitterNoise(1.5), in, rng));
   const auto expected = ev(
       {{0, 2}, {0, 5}, {0, 4}, {2, 0}, {2, 1}, {2, 3}, {3, 2}, {3, 0},
        {3, 3}, {3, 4}, {4, 5}, {5, 1}, {5, 5}, {6, 0}, {6, 1}, {6, 2},
@@ -213,13 +218,13 @@ TEST(NoiseGolden, JitterSigma15Seed321) {
 }
 
 TEST(NoiseGolden, CompositeP03S20Seed99) {
-  const SpikeRaster in = golden_input();
+  const EventBuffer in = golden_input();
   std::vector<NoiseModelPtr> models;
   models.push_back(noise::make_deletion(0.3));
   models.push_back(noise::make_jitter(2.0));
   const noise::CompositeNoise composite(std::move(models));
   Rng rng(99);
-  const auto got = composite.apply(in, rng).to_events();
+  const auto got = events_of(test::corrupted(composite, in, rng));
   const auto expected = ev({{0, 0}, {0, 2}, {0, 5}, {1, 1}, {2, 3}, {2, 3},
                             {3, 1}, {3, 2}, {5, 1}, {6, 5}, {6, 5}, {6, 0},
                             {9, 3}, {9, 0}, {10, 5}, {11, 3}, {12, 1},

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "noise/deletion.h"
@@ -10,31 +11,27 @@
 #include "noise/jitter.h"
 #include "noise/noise.h"
 #include "snn/event_buffer.h"
+#include "spike_test_util.h"
 
 namespace tsnn::noise {
 namespace {
 
-/// Dense test raster: every neuron spikes at every step.
-snn::SpikeRaster full_raster(std::size_t neurons, std::size_t window) {
-  snn::SpikeRaster r(neurons, window);
-  for (std::size_t t = 0; t < window; ++t) {
-    for (std::uint32_t n = 0; n < neurons; ++n) {
-      r.add(t, n);
-    }
-  }
-  return r;
-}
+using snn::EventBuffer;
+using snn::test::corrupted;
+using snn::test::events_of;
+using snn::test::full_train;
+using snn::test::make_train;
 
 class DeletionSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DeletionSweep, RemovesApproximatelyPFraction) {
   const double p = GetParam();
   const DeletionNoise noise(p);
-  const snn::SpikeRaster in = full_raster(50, 40);  // 2000 spikes
+  const EventBuffer in = full_train(50, 40);  // 2000 spikes
   Rng rng(77);
-  const snn::SpikeRaster out = noise.apply(in, rng);
-  const double kept = static_cast<double>(out.total_spikes()) /
-                      static_cast<double>(in.total_spikes());
+  const EventBuffer out = corrupted(noise, in, rng);
+  const double kept = static_cast<double>(out.size()) /
+                      static_cast<double>(in.size());
   EXPECT_NEAR(kept, 1.0 - p, 0.04) << "p=" << p;
 }
 
@@ -44,15 +41,12 @@ INSTANTIATE_TEST_SUITE_P(Probabilities, DeletionSweep,
 
 TEST(Deletion, NeverAddsOrMovesSpikes) {
   const DeletionNoise noise(0.5);
-  snn::SpikeRaster in(4, 10);
-  in.add(2, 1);
-  in.add(5, 3);
-  in.add(7, 0);
+  const EventBuffer in = make_train(4, 10, {{2, 1}, {5, 3}, {7, 0}});
   Rng rng(3);
-  const snn::SpikeRaster out = noise.apply(in, rng);
+  const EventBuffer out = corrupted(noise, in, rng);
   // Every surviving event must exist in the input.
-  const auto in_events = in.to_events();
-  for (const auto& e : out.to_events()) {
+  const auto in_events = events_of(in);
+  for (const auto& e : events_of(out)) {
     bool found = false;
     for (const auto& orig : in_events) {
       if (orig == e) {
@@ -61,14 +55,14 @@ TEST(Deletion, NeverAddsOrMovesSpikes) {
     }
     EXPECT_TRUE(found);
   }
-  EXPECT_LE(out.total_spikes(), in.total_spikes());
+  EXPECT_LE(out.size(), in.size());
 }
 
 TEST(Deletion, ZeroAndOneAreExact) {
-  snn::SpikeRaster in = full_raster(10, 10);
+  const EventBuffer in = full_train(10, 10);
   Rng rng(5);
-  EXPECT_EQ(DeletionNoise(0.0).apply(in, rng).total_spikes(), 100u);
-  EXPECT_EQ(DeletionNoise(1.0).apply(in, rng).total_spikes(), 0u);
+  EXPECT_EQ(corrupted(DeletionNoise(0.0), in, rng).size(), 100u);
+  EXPECT_EQ(corrupted(DeletionNoise(1.0), in, rng).size(), 0u);
 }
 
 TEST(Deletion, RejectsInvalidP) {
@@ -82,36 +76,33 @@ TEST(Deletion, NameDescribesP) {
 
 TEST(Jitter, PreservesSpikeCountExactly) {
   const JitterNoise noise(2.5);
-  const snn::SpikeRaster in = full_raster(20, 30);
+  const EventBuffer in = full_train(20, 30);
   Rng rng(11);
-  const snn::SpikeRaster out = noise.apply(in, rng);
-  EXPECT_EQ(out.total_spikes(), in.total_spikes());
+  const EventBuffer out = corrupted(noise, in, rng);
+  EXPECT_EQ(out.size(), in.size());
 }
 
 TEST(Jitter, PreservesPerNeuronCounts) {
   const JitterNoise noise(1.5);
-  snn::SpikeRaster in(5, 20);
-  in.add(3, 2);
-  in.add(8, 2);
-  in.add(10, 4);
+  const EventBuffer in = make_train(5, 20, {{3, 2}, {8, 2}, {10, 4}});
   Rng rng(13);
-  const snn::SpikeRaster out = noise.apply(in, rng);
-  EXPECT_EQ(out.spikes_of(2), 2u);
-  EXPECT_EQ(out.spikes_of(4), 1u);
-  EXPECT_EQ(out.spikes_of(0), 0u);
+  const std::vector<std::size_t> counts =
+      snn::test::spike_counts(corrupted(noise, in, rng));
+  EXPECT_EQ(counts[2], 2u);
+  EXPECT_EQ(counts[4], 1u);
+  EXPECT_EQ(counts[0], 0u);
 }
 
 TEST(Jitter, ShiftMagnitudesFollowSigma) {
   const double sigma = 1.0;
   const JitterNoise noise(sigma);
-  snn::SpikeRaster in(1, 200);
-  in.add(100, 0);  // far from the boundary so clamping is negligible
+  // Far from the boundary so clamping is negligible.
+  const EventBuffer in = make_train(1, 200, {{100, 0}});
   Rng rng(17);
   double sum_sq = 0.0;
   const int trials = 3000;
   for (int i = 0; i < trials; ++i) {
-    const snn::SpikeRaster out = noise.apply(in, rng);
-    const std::int32_t t = out.first_spike_time(0);
+    const std::int32_t t = corrupted(noise, in, rng).times()[0];
     const double d = static_cast<double>(t) - 100.0;
     sum_sq += d * d;
   }
@@ -121,13 +112,11 @@ TEST(Jitter, ShiftMagnitudesFollowSigma) {
 
 TEST(Jitter, ClampsIntoWindow) {
   const JitterNoise noise(50.0);  // extreme jitter
-  snn::SpikeRaster in(1, 10);
-  in.add(0, 0);
-  in.add(9, 0);
+  const EventBuffer in = make_train(1, 10, {{0, 0}, {9, 0}});
   Rng rng(19);
   for (int i = 0; i < 100; ++i) {
-    const snn::SpikeRaster out = noise.apply(in, rng);
-    EXPECT_EQ(out.total_spikes(), 2u);  // nothing fell off the window
+    // Nothing fell off the window.
+    EXPECT_EQ(corrupted(noise, in, rng).size(), 2u);
   }
 }
 
@@ -137,17 +126,16 @@ TEST(Jitter, ClampPilesMassAtWindowEdges) {
   // window, they pile up at its edges).
   const JitterNoise noise(200.0);
   const std::size_t window = 12;
-  snn::SpikeRaster in(1, window);
-  in.add(6, 0);  // start mid-window
+  const EventBuffer in = make_train(1, window, {{6, 0}});  // mid-window
   Rng rng(29);
   std::size_t at_zero = 0;
   std::size_t at_last = 0;
   std::size_t elsewhere = 0;
   const int trials = 2000;
   for (int i = 0; i < trials; ++i) {
-    const snn::SpikeRaster out = noise.apply(in, rng);
-    ASSERT_EQ(out.total_spikes(), 1u);
-    const std::int32_t t = out.first_spike_time(0);
+    const EventBuffer out = corrupted(noise, in, rng);
+    ASSERT_EQ(out.size(), 1u);
+    const std::int32_t t = out.times()[0];
     if (t == 0) {
       ++at_zero;
     } else if (t == static_cast<std::int32_t>(window) - 1) {
@@ -164,13 +152,10 @@ TEST(Jitter, ClampPilesMassAtWindowEdges) {
 
 TEST(Deletion, PZeroIsExactIdentityAndDrawsNothing) {
   const DeletionNoise noise(0.0);
-  snn::SpikeRaster in(4, 10);
-  in.add(2, 1);
-  in.add(2, 3);
-  in.add(7, 0);
+  const EventBuffer in = make_train(4, 10, {{2, 1}, {2, 3}, {7, 0}});
   Rng rng(31);
   // Events (including within-step order) are untouched...
-  EXPECT_EQ(noise.apply(in, rng).to_events(), in.to_events());
+  EXPECT_EQ(events_of(corrupted(noise, in, rng)), events_of(in));
   // ...and the rng was never consumed: the next draw matches a fresh rng.
   Rng fresh(31);
   EXPECT_EQ(rng(), fresh());
@@ -178,24 +163,28 @@ TEST(Deletion, PZeroIsExactIdentityAndDrawsNothing) {
 
 TEST(Deletion, POneDeletesEverySpike) {
   const DeletionNoise noise(1.0);
-  const snn::SpikeRaster in = full_raster(6, 9);
+  const EventBuffer in = full_train(6, 9);
   Rng rng(37);
-  const snn::SpikeRaster out = noise.apply(in, rng);
-  EXPECT_EQ(out.total_spikes(), 0u);
+  const EventBuffer out = corrupted(noise, in, rng);
+  EXPECT_EQ(out.size(), 0u);
   EXPECT_EQ(out.num_neurons(), in.num_neurons());
   EXPECT_EQ(out.window(), in.window());
 }
 
 TEST(Jitter, ZeroSigmaIsIdentity) {
-  snn::SpikeRaster in(2, 5);
-  in.add(3, 1);
+  const EventBuffer in = make_train(2, 5, {{3, 1}});
   Rng rng(23);
-  const snn::SpikeRaster out = JitterNoise(0.0).apply(in, rng);
-  EXPECT_EQ(out.to_events(), in.to_events());
+  EXPECT_EQ(events_of(corrupted(JitterNoise(0.0), in, rng)), events_of(in));
 }
 
 TEST(Jitter, RejectsNegativeSigma) {
   EXPECT_THROW(JitterNoise(-1.0), InvalidArgument);
+}
+
+TEST(Jitter, RejectsNonFiniteSigma) {
+  EXPECT_THROW(JitterNoise(std::nan("")), InvalidArgument);
+  EXPECT_THROW(JitterNoise(std::numeric_limits<double>::infinity()),
+               InvalidArgument);
 }
 
 TEST(Composite, AppliesInOrder) {
@@ -203,19 +192,19 @@ TEST(Composite, AppliesInOrder) {
   models.push_back(make_deletion(0.5));
   models.push_back(make_jitter(1.0));
   const CompositeNoise composite(std::move(models));
-  const snn::SpikeRaster in = full_raster(20, 20);
+  const EventBuffer in = full_train(20, 20);
   Rng rng(29);
-  const snn::SpikeRaster out = composite.apply(in, rng);
-  EXPECT_LT(out.total_spikes(), in.total_spikes());
-  EXPECT_NEAR(static_cast<double>(out.total_spikes()), 200.0, 60.0);
+  const EventBuffer out = corrupted(composite, in, rng);
+  EXPECT_LT(out.size(), in.size());
+  EXPECT_NEAR(static_cast<double>(out.size()), 200.0, 60.0);
   EXPECT_NE(composite.name().find("deletion"), std::string::npos);
   EXPECT_NE(composite.name().find("jitter"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
 // CompositeNoise ordering contract (see the class comment in noise/noise.h):
-// member order is significant, and the raster and in-place paths must agree
-// for stacks of any depth.
+// member order is significant, and stacks of any depth must match the
+// reference loops chained in the same order.
 
 snn::NoiseModelPtr make_composite(
     std::vector<snn::NoiseModelPtr> models) {
@@ -223,7 +212,7 @@ snn::NoiseModelPtr make_composite(
 }
 
 TEST(CompositeOrdering, DeletionThenJitterDiffersFromJitterThenDeletion) {
-  const snn::SpikeRaster in = full_raster(12, 24);
+  const EventBuffer in = full_train(12, 24);
 
   std::vector<snn::NoiseModelPtr> dj;
   dj.push_back(make_deletion(0.5));
@@ -236,8 +225,8 @@ TEST(CompositeOrdering, DeletionThenJitterDiffersFromJitterThenDeletion) {
 
   Rng rng_a(71);
   Rng rng_b(71);
-  const auto a = del_jit.apply(in, rng_a).to_events();
-  const auto b = jit_del.apply(in, rng_b).to_events();
+  const auto a = events_of(corrupted(del_jit, in, rng_a));
+  const auto b = events_of(corrupted(jit_del, in, rng_b));
   // Same seed, same members, opposite order: the corrupted trains differ --
   // the first stage changes both which events reach the second stage and
   // what the second stage draws from the shared rng.
@@ -249,37 +238,42 @@ TEST(CompositeOrdering, DeletionThenJitterDiffersFromJitterThenDeletion) {
   EXPECT_LT(jd_name.find("jitter"), jd_name.find("deletion"));
 }
 
-/// Applies `noise` to the same input via the raster path and the in-place
-/// event-buffer path with identical seeds; both must produce the same train.
-void expect_inplace_matches_raster(const snn::NoiseModel& noise,
-                                   std::uint64_t seed) {
-  const snn::SpikeRaster in = full_raster(10, 18);
-  Rng rng_raster(seed);
-  const snn::SpikeRaster via_raster = noise.apply(in, rng_raster);
+/// One member of a noise stack: deletion(p) or jitter(sigma).
+struct StackMember {
+  bool jitter;
+  double value;
+};
 
-  snn::EventBuffer buf;
-  snn::EventSortScratch scratch;
-  buf.assign_from(in, scratch);
-  Rng rng_events(seed);
-  noise.apply_inplace(buf, scratch, rng_events);
-  EXPECT_EQ(buf.to_raster().to_events(), via_raster.to_events())
-      << noise.name() << " seed " << seed;
+/// Applies the composite of `stack` in place and the reference loops
+/// chained in the same order, with identical seeds; both must produce the
+/// same train.
+void expect_inplace_matches_reference(const std::vector<StackMember>& stack,
+                                      std::uint64_t seed) {
+  const EventBuffer in = full_train(10, 18);
+  std::vector<snn::NoiseModelPtr> models;
+  Rng rng_ref(seed);
+  EventBuffer ref = in;
+  for (const StackMember& m : stack) {
+    if (m.jitter) {
+      models.push_back(make_jitter(m.value));
+      ref = snn::test::reference_jitter(ref, m.value, rng_ref);
+    } else {
+      models.push_back(make_deletion(m.value));
+      ref = snn::test::reference_deletion(ref, m.value, rng_ref);
+    }
+  }
+  const auto composite = make_composite(std::move(models));
+  Rng rng(seed);
+  EXPECT_EQ(events_of(corrupted(*composite, in, rng)), events_of(ref))
+      << composite->name() << " seed " << seed;
 }
 
-TEST(CompositeOrdering, InplaceMatchesRasterForDepth3Stacks) {
+TEST(CompositeOrdering, InplaceMatchesReferenceForDepth3Stacks) {
   for (const std::uint64_t seed : {7ull, 1234ull, 0xC0FFEEull}) {
-    std::vector<snn::NoiseModelPtr> stack3;
-    stack3.push_back(make_deletion(0.3));
-    stack3.push_back(make_jitter(1.5));
-    stack3.push_back(make_deletion(0.2));
-    expect_inplace_matches_raster(*make_composite(std::move(stack3)), seed);
-
-    std::vector<snn::NoiseModelPtr> stack4;
-    stack4.push_back(make_jitter(1.0));
-    stack4.push_back(make_deletion(0.4));
-    stack4.push_back(make_jitter(0.5));
-    stack4.push_back(make_deletion(0.1));
-    expect_inplace_matches_raster(*make_composite(std::move(stack4)), seed);
+    expect_inplace_matches_reference(
+        {{false, 0.3}, {true, 1.5}, {false, 0.2}}, seed);
+    expect_inplace_matches_reference(
+        {{true, 1.0}, {false, 0.4}, {true, 0.5}, {false, 0.1}}, seed);
   }
 }
 
@@ -287,7 +281,7 @@ TEST(CompositeOrdering, NestedCompositeMatchesFlatStack) {
   // composite[a + composite[b + c]] == composite[a + b + c]: composition is
   // associative because each member only sees the previous output and the
   // shared rng.
-  const snn::SpikeRaster in = full_raster(8, 16);
+  const EventBuffer in = full_train(8, 16);
   std::vector<snn::NoiseModelPtr> inner;
   inner.push_back(make_jitter(1.2));
   inner.push_back(make_deletion(0.25));
@@ -301,32 +295,32 @@ TEST(CompositeOrdering, NestedCompositeMatchesFlatStack) {
 
   Rng rng_a(99);
   Rng rng_b(99);
-  EXPECT_EQ(make_composite(std::move(nested))->apply(in, rng_a).to_events(),
-            make_composite(std::move(flat))->apply(in, rng_b).to_events());
+  EXPECT_EQ(events_of(corrupted(*make_composite(std::move(nested)), in, rng_a)),
+            events_of(corrupted(*make_composite(std::move(flat)), in, rng_b)));
 }
 
 TEST(Composite, FactoryHelper) {
   const auto n = make_deletion_jitter(0.2, 0.5);
-  snn::SpikeRaster in = full_raster(5, 5);
+  const EventBuffer in = full_train(5, 5);
   Rng rng(31);
-  EXPECT_LE(n->apply(in, rng).total_spikes(), 25u);
+  EXPECT_LE(corrupted(*n, in, rng).size(), 25u);
 }
 
 TEST(NoNoise, IsIdentity) {
   const NoNoise n;
-  snn::SpikeRaster in(2, 4);
-  in.add(1, 0);
+  const EventBuffer in = make_train(2, 4, {{1, 0}});
   Rng rng(37);
-  EXPECT_EQ(n.apply(in, rng).to_events(), in.to_events());
+  EXPECT_EQ(events_of(corrupted(n, in, rng)), events_of(in));
   EXPECT_EQ(n.name(), "clean");
 }
 
 TEST(Noise, DeterministicGivenSeed) {
   const DeletionNoise noise(0.5);
-  const snn::SpikeRaster in = full_raster(10, 10);
+  const EventBuffer in = full_train(10, 10);
   Rng rng1(41);
   Rng rng2(41);
-  EXPECT_EQ(noise.apply(in, rng1).to_events(), noise.apply(in, rng2).to_events());
+  EXPECT_EQ(events_of(corrupted(noise, in, rng1)),
+            events_of(corrupted(noise, in, rng2)));
 }
 
 TEST(DeviceProfile, CatalogIsOrderedByHarshness) {
@@ -342,18 +336,18 @@ TEST(DeviceProfile, FindAndMaterialize) {
   const DeviceProfile& d = find_device("memristive-early");
   EXPECT_GT(d.deletion_p, 0.0);
   const auto noise = d.make_noise();
-  snn::SpikeRaster in = full_raster(10, 10);
+  const EventBuffer in = full_train(10, 10);
   Rng rng(43);
-  EXPECT_LT(noise->apply(in, rng).total_spikes(), 100u);
+  EXPECT_LT(corrupted(*noise, in, rng).size(), 100u);
   EXPECT_THROW(find_device("no-such-device"), InvalidArgument);
 }
 
 TEST(DeviceProfile, CleanDeviceIsIdentity) {
   const DeviceProfile& d = find_device("digital-cmos");
   const auto noise = d.make_noise();
-  snn::SpikeRaster in = full_raster(4, 4);
+  const EventBuffer in = full_train(4, 4);
   Rng rng(47);
-  EXPECT_EQ(noise->apply(in, rng).total_spikes(), 16u);
+  EXPECT_EQ(corrupted(*noise, in, rng).size(), 16u);
 }
 
 }  // namespace

@@ -231,6 +231,36 @@ TEST(ActivationAnalysis, JitterOnlyMode) {
   EXPECT_LT(dist.p_zero, 0.05);  // jitter shifts, never deletes
 }
 
+TEST(ActivationAnalysis, PinnedExactlyPerCoding) {
+  // Exact fixed-seed statistics under deletion 0.5 + jitter 1.0, captured
+  // from the original per-step bucket implementation: encode, corrupt and
+  // decode on EventBuffers must not move a single bit.
+  ActivationAnalysisConfig cfg;
+  cfg.activation = 0.6f;
+  cfg.deletion_p = 0.5;
+  cfg.jitter_sigma = 1.0;
+  cfg.trials = 500;
+  struct Pin {
+    snn::CodingSchemePtr scheme;
+    double mean, stddev, p_zero, p_full;
+  };
+  Pin pins[] = {
+      {coding::make_scheme(Coding::kRate), 0.29296875, 0.048307833585858703,
+       0.0, 0.0},
+      {coding::make_scheme(Coding::kTtfs), 0.26567457103729247,
+       0.3051191778221512, 0.51800000000000002, 0.184},
+      {make_ttas(5), 0.26968067402020096, 0.14956393081802849,
+       0.028000000000000001, 0.10000000000000001},
+  };
+  for (const Pin& pin : pins) {
+    const auto dist = analyze_activation(*pin.scheme, cfg);
+    EXPECT_EQ(dist.mean, pin.mean) << pin.scheme->name();
+    EXPECT_EQ(dist.stddev, pin.stddev) << pin.scheme->name();
+    EXPECT_EQ(dist.p_zero, pin.p_zero) << pin.scheme->name();
+    EXPECT_EQ(dist.p_full, pin.p_full) << pin.scheme->name();
+  }
+}
+
 TEST(ActivationAnalysis, RejectsBadConfig) {
   ActivationAnalysisConfig cfg;
   cfg.activation = 0.0f;

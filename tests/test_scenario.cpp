@@ -224,6 +224,33 @@ TEST(ScenarioSpecParse, ErrorPaths) {
   EXPECT_THROW(parse_scenarios("   \n# only comments\n"), InvalidArgument);
 }
 
+TEST(ScenarioSpecParse, RejectsNonFiniteNumbersNamingTheLine) {
+  // strtod accepts these spellings; each must fail at parse time with the
+  // offending line, for every key that takes a real number.
+  const std::string head = "name = x\ndatasets = s-mnist\nmethods = rate\n";
+  for (const std::string v : {"nan", "inf", "-inf", "1e999"}) {
+    const struct {
+      const char* key;
+      std::string text;
+      const char* where;
+    } cases[] = {
+        {"noise", head + "noise = jitter:" + v + "\n", "line 4:"},
+        {"levels", head + "noise = deletion:sweep\nlevels = 0, " + v + "\n",
+         "line 5:"},
+        {"early_exit", head + "early_exit = margin:" + v + "\n", "line 4:"},
+    };
+    for (const auto& c : cases) {
+      try {
+        ScenarioSpec::parse(c.text);
+        ADD_FAILURE() << c.key << " accepted " << v;
+      } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.where), std::string::npos)
+            << c.key << " " << v << ": " << e.what();
+      }
+    }
+  }
+}
+
 TEST(ScenarioSpecParse, MethodLabelsInvertHelperLabels) {
   expect_methods_equal({parse_method_label("rate+WS")},
                        {baseline_method(Coding::kRate, true)});

@@ -11,6 +11,7 @@
 #include "noise/deletion.h"
 #include "noise/jitter.h"
 #include "snn/topology.h"
+#include "spike_test_util.h"
 #include "tensor/stats.h"
 
 namespace tsnn::core {
@@ -18,8 +19,10 @@ namespace {
 
 using snn::Coding;
 using snn::CodingParams;
+using snn::EventBuffer;
 using snn::LayerRole;
-using snn::SpikeRaster;
+using snn::test::corrupted;
+using snn::test::encode;
 
 TEST(Ttas, KindIsTtas) {
   const auto scheme = make_ttas(5);
@@ -35,28 +38,29 @@ TEST(Ttas, Ttas1EquivalentToTtfs) {
   for (std::size_t i = 0; i < 10; ++i) {
     a[i] = 0.08f * static_cast<float>(i + 1);
   }
-  EXPECT_EQ(ttas1->encode(a).to_events(), ttfs->encode(a).to_events());
+  EXPECT_EQ(snn::test::events_of(encode(*ttas1, a)),
+            snn::test::events_of(encode(*ttfs, a)));
 }
 
 TEST(Ttas, BurstSpikesAreConsecutiveFromFirstSpike) {
   const auto scheme = make_ttas(4);
   Tensor a{Shape{1}, {0.5f}};
-  const SpikeRaster r = scheme->encode(a);
-  EXPECT_EQ(r.total_spikes(), 4u);
-  const std::int32_t t1 = r.first_spike_time(0);
+  const EventBuffer r = encode(*scheme, a);
+  EXPECT_EQ(r.size(), 4u);
+  const std::int32_t t1 = snn::test::first_spike_times(r)[0];
   for (std::int32_t j = 0; j < 4; ++j) {
-    EXPECT_EQ(r.at(static_cast<std::size_t>(t1 + j)).size(), 1u);
+    EXPECT_EQ(r.step_count(static_cast<std::size_t>(t1 + j)), 1u);
   }
 }
 
 TEST(Ttas, CleanDecodeMatchesTtfsValue) {
   // C_A folding makes the delivered value independent of burst duration.
   Tensor a{Shape{6}, {0.1f, 0.25f, 0.4f, 0.55f, 0.7f, 0.9f}};
-  const Tensor base = coding::make_scheme(Coding::kTtfs)->decode(
-      coding::make_scheme(Coding::kTtfs)->encode(a));
+  const auto ttfs = coding::make_scheme(Coding::kTtfs);
+  const Tensor base = ttfs->decode(encode(*ttfs, a));
   for (const std::size_t ta : {2, 3, 5, 10}) {
     const auto scheme = make_ttas(ta);
-    const Tensor decoded = scheme->decode(scheme->encode(a));
+    const Tensor decoded = scheme->decode(encode(*scheme, a));
     for (std::size_t i = 0; i < a.numel(); ++i) {
       EXPECT_NEAR(decoded[i], base[i], 1e-4f) << "ta=" << ta << " i=" << i;
     }
@@ -72,8 +76,7 @@ TEST(Ttas, KernelSumScaleIndependentOfFirstSpikeTime) {
   Tensor a{Shape{2}};
   a[0] = std::exp(-1.0f / tau);   // t1 = 1 (early)
   a[1] = std::exp(-20.0f / tau);  // t1 = 20 (late)
-  const SpikeRaster r = scheme->encode(a);
-  const Tensor decoded = scheme->decode(r);
+  const Tensor decoded = scheme->decode(encode(*scheme, a));
   EXPECT_NEAR(decoded[0] / a[0], 1.0f, 1e-3f);
   EXPECT_NEAR(decoded[1] / a[1], 1.0f, 1e-3f);
 }
@@ -86,12 +89,12 @@ TEST(Ttas, DeletionDegradesGracefully) {
   const double p = 0.5;
 
   auto delivered_values = [&](const snn::CodingScheme& scheme) {
-    const SpikeRaster clean = scheme.encode(a);
+    const EventBuffer clean = encode(scheme, a);
     noise::DeletionNoise noise(p);
     Rng rng(7);
     std::vector<float> vals;
     for (int i = 0; i < 800; ++i) {
-      vals.push_back(scheme.decode(noise.apply(clean, rng))[0]);
+      vals.push_back(scheme.decode(corrupted(noise, clean, rng))[0]);
     }
     return vals;
   };
@@ -114,7 +117,8 @@ TEST(Ttas, DeletionDegradesGracefully) {
   EXPECT_GT(intermediate, 100);
 
   // Expected value is (1-p)*clean for both.
-  const float ttas_clean = make_ttas(5)->decode(make_ttas(5)->encode(a))[0];
+  const auto ttas5 = make_ttas(5);
+  const float ttas_clean = ttas5->decode(encode(*ttas5, a))[0];
   EXPECT_NEAR(stats::mean(ttas_vals), (1.0 - p) * ttas_clean, 0.03);
 
   // All-or-none total loss is much rarer for TTAS: P(all 5 deleted) = p^5.
@@ -136,12 +140,12 @@ TEST(Ttas, JitterVarianceShrinksWithBurstDuration) {
   const double sigma = 1.5;
 
   auto delivered_stddev = [&](const snn::CodingScheme& scheme) {
-    const SpikeRaster clean = scheme.encode(a);
+    const EventBuffer clean = encode(scheme, a);
     noise::JitterNoise noise(sigma);
     Rng rng(21);
     std::vector<float> vals;
     for (int i = 0; i < 600; ++i) {
-      vals.push_back(scheme.decode(noise.apply(clean, rng))[0]);
+      vals.push_back(scheme.decode(corrupted(noise, clean, rng))[0]);
     }
     return stats::stddev(vals);
   };
@@ -163,17 +167,17 @@ TEST(Ttas, LayerBurstMatchesEq4Reset) {
   Tensor w{Shape{1, 1}, {1.0f}};
   snn::DenseTopology syn{w};
   Tensor a{Shape{1}, {0.6f}};
-  const SpikeRaster out =
-      scheme->run_layer(scheme->encode(a), syn, LayerRole::kFirstHidden);
-  EXPECT_EQ(out.total_spikes(), 3u);
-  const std::int32_t t1 = out.first_spike_time(0);
+  const EventBuffer out = snn::test::run_layer(
+      *scheme, encode(*scheme, a), syn, LayerRole::kFirstHidden);
+  EXPECT_EQ(out.size(), 3u);
+  const std::int32_t t1 = snn::test::first_spike_times(out)[0];
   ASSERT_GE(t1, 0);
   for (std::int32_t j = 0; j < 3; ++j) {
-    EXPECT_EQ(out.at(static_cast<std::size_t>(t1 + j)).size(), 1u);
+    EXPECT_EQ(out.step_count(static_cast<std::size_t>(t1 + j)), 1u);
   }
   // Nothing after the burst.
   for (std::size_t t = static_cast<std::size_t>(t1 + 3); t < out.window(); ++t) {
-    EXPECT_TRUE(out.at(t).empty());
+    EXPECT_EQ(out.step_count(t), 0u);
   }
 }
 

@@ -6,10 +6,13 @@
 #include "core/weight_scaling.h"
 #include "noise/deletion.h"
 #include "snn/topology.h"
+#include "spike_test_util.h"
 #include "tensor/stats.h"
 
 namespace tsnn::core {
 namespace {
+
+using snn::test::corrupted;
 
 TEST(WeightScaling, FactorRestoresMean) {
   EXPECT_FLOAT_EQ(weight_scaling_factor(0.0), 1.0f);
@@ -67,7 +70,7 @@ TEST(WeightScaling, CompensatesDeletedRateCode) {
   // multiplied by C = 1/(1-p), recovers the clean value in expectation.
   const auto scheme = coding::make_scheme(snn::Coding::kRate);
   Tensor a{Shape{1}, {0.5f}};
-  const auto clean = scheme->encode(a);
+  const snn::EventBuffer clean = snn::test::encode(*scheme, a);
   const float clean_value = scheme->decode(clean)[0];
 
   for (const double p : {0.2, 0.5, 0.8}) {
@@ -75,7 +78,7 @@ TEST(WeightScaling, CompensatesDeletedRateCode) {
     Rng rng(61);
     std::vector<float> compensated;
     for (int i = 0; i < 500; ++i) {
-      const float v = scheme->decode(noise.apply(clean, rng))[0];
+      const float v = scheme->decode(corrupted(noise, clean, rng))[0];
       compensated.push_back(v * weight_scaling_factor(p));
     }
     EXPECT_NEAR(stats::mean(compensated), clean_value, 0.05) << "p=" << p;
@@ -88,7 +91,7 @@ TEST(WeightScaling, OverActivatesSurvivingTtfsSpikes) {
   // deleted ones stay 0 -- the mean is right but every sample is wrong.
   const auto scheme = coding::make_scheme(snn::Coding::kTtfs);
   Tensor a{Shape{1}, {0.5f}};
-  const auto clean = scheme->encode(a);
+  const snn::EventBuffer clean = snn::test::encode(*scheme, a);
   const float clean_value = scheme->decode(clean)[0];
   const double p = 0.5;
   noise::DeletionNoise noise(p);
@@ -96,7 +99,7 @@ TEST(WeightScaling, OverActivatesSurvivingTtfsSpikes) {
   int exact = 0;
   for (int i = 0; i < 400; ++i) {
     const float v =
-        scheme->decode(noise.apply(clean, rng))[0] * weight_scaling_factor(p);
+        scheme->decode(corrupted(noise, clean, rng))[0] * weight_scaling_factor(p);
     // Delivered value is either 0 or C*A; never the clean A.
     const bool is_zero = v < 1e-6f;
     const bool is_over = std::abs(v - 2.0f * clean_value) < 1e-3f;
