@@ -1,6 +1,6 @@
 // Anytime-inference frontier: accuracy vs decision latency per coding.
 //
-// Sweeps the early-exit margin threshold (the stepped core's
+// Sweeps the early-exit margin threshold (the simulator's
 // snn::DecisionPolicy) over every coding on the S-MNIST zoo model and
 // reports, per (coding, margin) point, the accuracy and the mean readout
 // timesteps consumed before the decision -- the anytime latency/accuracy

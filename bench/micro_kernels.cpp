@@ -22,7 +22,7 @@
 #include "dnn/conv2d.h"
 #include "noise/noise.h"
 #include "simd/kernels.h"
-#include "snn/simulator.h"
+#include "snn/workspace.h"
 #include "snn/topology.h"
 #include "tensor/tensor_ops.h"
 
@@ -269,53 +269,6 @@ void BM_DeletionNoise(benchmark::State& state) {
   run_noise_bench(state, *noise::make_deletion(0.5), 7, 8);
 }
 BENCHMARK(BM_DeletionNoise);
-
-/// Whole-image simulation through the layer-sequential reference (arg 0)
-/// vs the time-major stepped core at policy-off (arg 1) on a small
-/// conv/pool/dense model -- pins the stepped core's per-step dispatch
-/// overhead (extra virtual hooks, wavefront bookkeeping, per-step readout
-/// margin peeks) against the reference it must stay bit-identical to.
-void BM_SteppedOverhead(benchmark::State& state) {
-  const bool stepped = state.range(0) != 0;
-  snn::SnnModel model(Shape{1, 8, 8});
-  Tensor conv_w{Shape{4, 1, 3, 3}};
-  for (std::size_t i = 0; i < conv_w.numel(); ++i) {
-    conv_w[i] = 0.05f * static_cast<float>((i * 17) % 13) - 0.25f;
-  }
-  model.add_stage("conv", std::make_unique<snn::ConvTopology>(conv_w, 8, 8,
-                                                              /*stride=*/1,
-                                                              /*pad=*/1));
-  model.add_stage("pool", std::make_unique<snn::PoolTopology>(4, 8, 8, 2));
-  Tensor dense_w{Shape{5, 64}};
-  for (std::size_t i = 0; i < dense_w.numel(); ++i) {
-    dense_w[i] = 0.03f * static_cast<float>((i * 7) % 17) - 0.2f;
-  }
-  model.add_stage("readout", std::make_unique<snn::DenseTopology>(dense_w));
-
-  const auto scheme = coding::make_scheme(snn::Coding::kRate);
-  Tensor img{Shape{1, 8, 8}};
-  for (std::size_t i = 0; i < img.numel(); ++i) {
-    img[i] = static_cast<float>((i * 31) % 64) / 64.0f;
-  }
-  snn::SimWorkspace ws;
-  snn::SimResult result;
-  const snn::SimRequest req{&model, scheme.get(), nullptr, nullptr, &ws};
-  // Warm the workspace (and topology caches) so the loop times pure
-  // simulation, not first-touch growth.
-  snn::simulate_stepped_into(req, img, result);
-  snn::simulate_sequential_into(req, img, result);
-  for (auto _ : state) {
-    if (stepped) {
-      snn::simulate_stepped_into(req, img, result);
-    } else {
-      snn::simulate_sequential_into(req, img, result);
-    }
-    benchmark::DoNotOptimize(result.logits.data());
-  }
-  state.SetLabel(stepped ? "stepped" : "sequential");
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SteppedOverhead)->Arg(0)->Arg(1);
 
 void BM_JitterNoise(benchmark::State& state) {
   run_noise_bench(state, *noise::make_jitter(2.0), 9, 10);

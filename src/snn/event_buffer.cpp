@@ -54,8 +54,8 @@ void EventBuffer::remove_by_mask(const std::uint8_t* keep) {
   check_finalized();
   // Per-step left-pack through the mask_compact kernel (in-place safe:
   // the write cursor never passes the read cursor), then re-stamp the
-  // surviving times from the step index -- the same post-state as
-  // remove_if_not() with an equivalent predicate.
+  // surviving times from the step index, so offsets and times stay
+  // consistent with the compacted neuron stream.
   const auto compact = simd::kernels().mask_compact;
   std::size_t w = 0;
   std::uint32_t read_begin = offsets_[0];

@@ -22,10 +22,10 @@
 // stable counting sort re-buckets into caller-provided scratch.
 // Consumers -- the simulator, decode(), analyses and figures -- read
 // per-step spans (step/step_begin/step_count) or the flat arrays. Noise
-// models mutate the buffer in place: remove_by_mask()/remove_if_not()
-// compact the stream and remap_times() re-buckets after rewriting times,
-// all visiting events in time-major emission order -- the RNG draw-order
-// contract that keeps fixed-seed corruption reproducible (golden vectors in
+// models mutate the buffer in place: remove_by_mask() compacts the stream
+// and remap_times() re-buckets after rewriting times, all visiting events
+// in time-major emission order -- the RNG draw-order contract that keeps
+// fixed-seed corruption reproducible (golden vectors in
 // tests/test_event_buffer.cpp).
 #pragma once
 
@@ -85,13 +85,14 @@ class EventBuffer {
   void finalize(EventSortScratch& scratch);
   bool finalized() const { return finalized_; }
 
-  /// Incremental production for the time-major stepped core: declares step
-  /// `steps_closed()` complete, making it readable via step()/step_begin/
-  /// step_count before the train is finalized. Requires time-ordered pushes
-  /// (every scheme's layer loop emits timestep-major, so this holds by
-  /// construction); once a step is closed, push() rejects events landing in
-  /// it. finalize() still rebuilds the whole offset table, so a partially
-  /// closed buffer finalizes to the exact same state as a batch-produced one.
+  /// Incremental production for the simulator's lockstep wavefront:
+  /// declares step `steps_closed()` complete, making it readable via
+  /// step()/step_begin/step_count before the train is finalized. Requires
+  /// time-ordered pushes (every scheme's layer loop emits timestep-major,
+  /// so this holds by construction); once a step is closed, push() rejects
+  /// events landing in it. finalize() still rebuilds the whole offset
+  /// table, so a partially closed buffer finalizes to the exact same state
+  /// as a batch-produced one.
   void close_step() {
     TSNN_CHECK_MSG(sorted_ && !finalized_,
                    "close_step requires time-ordered, unfinalized pushes");
@@ -113,7 +114,7 @@ class EventBuffer {
   };
 
   /// Events of step `t`, in emission order. Readable once the buffer is
-  /// finalized, or -- for the stepped core's wavefront consumers -- as soon
+  /// finalized, or -- for the simulator's wavefront consumers -- as soon
   /// as the producing loop has close_step()ed past `t`. The span form does
   /// the readable check once per step -- the hot loops' shape;
   /// step_begin/step_count are the piecemeal equivalents.
@@ -134,37 +135,13 @@ class EventBuffer {
   const std::int32_t* times() const { return times_.data(); }
   const std::uint32_t* neurons() const { return neurons_.data(); }
 
-  /// In-place compaction: keeps exactly the events for which
-  /// `keep(time, neuron)` returns true, visiting events in time-major
-  /// emission order (the RNG draw-order contract). Stays finalized.
-  template <typename Keep>
-  void remove_if_not(Keep&& keep) {
-    check_finalized();
-    std::size_t w = 0;
-    std::uint32_t read_begin = offsets_[0];
-    for (std::size_t t = 0; t < window_; ++t) {
-      const std::uint32_t read_end = offsets_[t + 1];
-      offsets_[t] = static_cast<std::uint32_t>(w);
-      for (std::uint32_t i = read_begin; i < read_end; ++i) {
-        if (keep(static_cast<std::int32_t>(t), neurons_[i])) {
-          neurons_[w] = neurons_[i];
-          times_[w] = static_cast<std::int32_t>(t);
-          ++w;
-        }
-      }
-      read_begin = read_end;
-    }
-    offsets_[window_] = static_cast<std::uint32_t>(w);
-    times_.resize(w);
-    neurons_.resize(w);
-  }
-
-  /// Kernelized twin of remove_if_not(): compacts to exactly the events
-  /// whose `keep[i]` byte is nonzero, where i indexes the finalized
-  /// time-major event stream (size() entries). Callers whose predicate
-  /// draws randomness pre-generate the mask in one serial pass -- same
-  /// draw order as remove_if_not() -- and the compaction itself runs
-  /// through the dispatch table's mask_compact kernel. Stays finalized.
+  /// In-place compaction: keeps exactly the events whose `keep[i]` byte is
+  /// nonzero, where i indexes the finalized time-major event stream
+  /// (size() entries). Callers whose predicate draws randomness
+  /// pre-generate the mask in one serial pass, visiting events in
+  /// time-major emission order (the RNG draw-order contract), and the
+  /// compaction itself runs through the dispatch table's mask_compact
+  /// kernel. Stays finalized.
   void remove_by_mask(const std::uint8_t* keep);
 
   /// In-place time rewrite: every event's time becomes

@@ -2,8 +2,8 @@
 //
 // One SimWorkspace owns every piece of mutable scratch the per-image hot
 // path needs -- the layer-to-layer EventBuffer ping-pong pair, the
-// counting-sort scratch, the per-step SpikeBatch, membrane potentials, and
-// the coding schemes' encoder/decoder state arrays. All members are
+// counting-sort scratch, the encoder's state arrays, and the per-stage
+// StageStates holding potentials and decoder state. All members are
 // grow-only: vectors are re-dimensioned with assign()/resize() which never
 // release capacity, so after a warm-up image the steady state performs
 // zero heap allocations per image (see docs/ARCHITECTURE.md,
@@ -25,41 +25,17 @@
 
 namespace tsnn::snn {
 
-/// Builds the canonical-neuron -> accumulator-slot map for `syn` (see
-/// SynapseTopology::accum_layout) into `umap`. Firing/readout loops index
-/// the potentials as u[map[j]]; identity layouts get the identity map, so
-/// scheme code has a single path.
-inline const std::uint32_t* build_accum_map(const SynapseTopology& syn,
-                                            aligned_vector<std::uint32_t>& umap) {
-  const AccumLayout l = syn.accum_layout();
-  const std::size_t n = syn.out_size();
-  umap.resize(n);
-  if (!l.transposed) {
-    for (std::size_t j = 0; j < n; ++j) {
-      umap[j] = static_cast<std::uint32_t>(j);
-    }
-  } else {
-    std::size_t j = 0;
-    for (std::size_t r = 0; r < l.rows; ++r) {
-      for (std::size_t c = 0; c < l.cols; ++c) {
-        umap[j++] = static_cast<std::uint32_t>(c * l.rows + r);
-      }
-    }
-  }
-  return umap.data();
-}
-
 /// Per-stage mutable state of one in-flight layer (or readout) run under
 /// the stepped CodingScheme interface (begin_layer/step_layer/end_layer).
-/// The layer-sequential loops lease SimWorkspace::seq; the time-major
-/// SteppedRunner leases one StageState per stage (SimWorkspace::stage_state)
+/// Stage-by-stage runs lease SimWorkspace::seq; simulate_into()'s lockstep
+/// wavefront leases one StageState per stage (SimWorkspace::stage_state)
 /// so every stage of the wavefront holds its own potentials, scratch, and
 /// output train concurrently. Grow-only, like the workspace itself.
 struct StageState {
   EventSortScratch sort;  ///< counting-sort scratch for out.finalize()
   SpikeBatch batch;       ///< per-step propagation batch
-  EventBuffer out;        ///< stage output train (SteppedRunner only; the
-                          ///< sequential loops emit into a caller buffer)
+  EventBuffer out;        ///< stage output train (wavefront only; stage-by-
+                          ///< stage runs emit into a caller buffer)
 
   aligned_vector<float> u;             ///< membrane potentials accumulator
   std::vector<std::uint32_t> k;        ///< burst escalation counters
@@ -82,11 +58,29 @@ struct StageState {
     return fired.data();
   }
 
-  /// Rebuilds umap for `syn` and caches the layout kind. Valid until the
-  /// next accum_map() call on this state.
+  /// Rebuilds umap, the canonical-neuron -> accumulator-slot map for `syn`
+  /// (see SynapseTopology::accum_layout), and caches the layout kind.
+  /// Firing/readout loops index the potentials as u[map[j]]; identity
+  /// layouts get the identity map, so scheme code has a single path. Valid
+  /// until the next accum_map() call on this state.
   const std::uint32_t* accum_map(const SynapseTopology& syn) {
-    transposed = syn.accum_layout().transposed;
-    return build_accum_map(syn, umap);
+    const AccumLayout l = syn.accum_layout();
+    transposed = l.transposed;
+    const std::size_t n = syn.out_size();
+    umap.resize(n);
+    if (!l.transposed) {
+      for (std::size_t j = 0; j < n; ++j) {
+        umap[j] = static_cast<std::uint32_t>(j);
+      }
+    } else {
+      std::size_t j = 0;
+      for (std::size_t r = 0; r < l.rows; ++r) {
+        for (std::size_t c = 0; c < l.cols; ++c) {
+          umap[j++] = static_cast<std::uint32_t>(c * l.rows + r);
+        }
+      }
+    }
+    return umap.data();
   }
 };
 
@@ -99,25 +93,14 @@ struct SimWorkspace {
   EventBuffer cur;        ///< spike train entering the current stage
   EventBuffer next;       ///< spike train the current stage emits
   EventSortScratch sort;  ///< counting-sort / noise keep-mask scratch
-  SpikeBatch batch;       ///< per-step propagation batch
 
-  // The SIMD-streamed buffers (potentials, encoder charge, the firing
-  // scan's inputs/outputs) are aligned_vectors so the dispatch-table
-  // kernels (simd/kernels.h) never split cache lines.
-  aligned_vector<float> u;    ///< membrane potentials / logits accumulator
+  // The SIMD-streamed buffers (encoder charge, the firing scan's output)
+  // are aligned_vectors so the dispatch-table kernels (simd/kernels.h)
+  // never split cache lines.
   aligned_vector<float> acc;  ///< encoder charge accumulators
 
   std::vector<std::uint32_t> k;        ///< burst escalation counters
-  std::vector<std::int64_t> isi_last;  ///< burst ISI decoder: last arrival
-  std::vector<std::uint32_t> isi_k;    ///< burst ISI decoder: run length
-  aligned_vector<std::uint32_t> umap;  ///< canonical neuron -> accumulator slot
   aligned_vector<std::uint32_t> fired;  ///< threshold_fire kernel output
-
-  /// Zeroed potential array of length `n` (recycles capacity).
-  float* potentials(std::size_t n) {
-    u.assign(n, 0.0f);
-    return u.data();
-  }
 
   /// Uninitialized fired-index scratch of capacity `n` for the
   /// threshold_fire kernel (recycles capacity; contents are overwritten by
@@ -127,22 +110,18 @@ struct SimWorkspace {
     return fired.data();
   }
 
-  /// Canonical-neuron -> accumulator-slot map for `syn` (see
-  /// build_accum_map). Valid until the next accum_map() call.
-  const std::uint32_t* accum_map(const SynapseTopology& syn) {
-    return build_accum_map(syn, umap);
-  }
-
   /// Pre-encoding input-corruption scratch: execute_request() writes the
   /// noise::InputNoiseModel output here so a corrupted request allocates
   /// nothing once warm (grow-only, like everything else in the workspace).
   Tensor input_scratch;
 
-  /// Stage state leased by the layer-sequential run_layer_into/readout_into
-  /// loops (strictly one stage in flight at a time, so one state suffices).
+  /// Stage state leased by run_layer_into/readout_into and simulate_into()'s
+  /// stage-by-stage regime (strictly one stage in flight at a time, so one
+  /// state suffices).
   StageState seq;
 
-  /// Per-stage states for the time-major SteppedRunner (index = stage).
+  /// Per-stage states for simulate_into()'s lockstep wavefront (index =
+  /// stage); only an enabled DecisionPolicy ever grows this.
   /// unique_ptr for pointer/reference stability across pool growth; the
   /// pool only grows at a new high-water stage count, preserving the
   /// zero-allocation steady state.

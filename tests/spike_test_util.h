@@ -1,8 +1,9 @@
 // Test-only helpers over snn::EventBuffer, the library's one spike-train
 // type: building trains from (t, neuron) pairs, flattening them back to
 // events, per-neuron views, one-call scheme helpers on a transient
-// workspace, and the reference deletion/jitter loops that the in-place
-// noise models are checked against.
+// workspace, the reference deletion/jitter loops that the in-place noise
+// models are checked against, and the layer-sequential simulation loop
+// that snn::simulate_into is checked against.
 #pragma once
 
 #include <algorithm>
@@ -15,8 +16,10 @@
 #include "snn/coding_base.h"
 #include "snn/event_buffer.h"
 #include "snn/noise_base.h"
+#include "snn/simulator.h"
 #include "snn/workspace.h"
 #include "tensor/tensor.h"
+#include "tensor/tensor_ops.h"
 
 namespace tsnn::snn::test {
 
@@ -177,6 +180,50 @@ inline EventBuffer reference_jitter(const EventBuffer& in, double sigma,
     }
   }
   return from_buckets(in.num_neurons(), out);
+}
+
+// Reference simulation: the layer-sequential loop, built only from the
+// schemes' whole-layer entry points. Each stage runs its full window
+// before the next starts, noise corrupts every train in stage order from
+// req.rng, and the readout never exits early (req.policy is ignored), so
+// decision_timestep is the readout input's full window. simulate_into must
+// match it bit for bit whenever its policy does not fire.
+inline void reference_simulate(const SimRequest& req, const Tensor& image,
+                               SimResult& out) {
+  const SnnModel& model = *req.model;
+  const CodingScheme& scheme = *req.scheme;
+  SimWorkspace transient;
+  SimWorkspace& ws = req.workspace != nullptr ? *req.workspace : transient;
+  out.layer_spikes.clear();
+
+  scheme.encode_into(image, ws, ws.cur);
+  if (req.noise != nullptr) {
+    req.noise->apply_inplace(ws.cur, ws.sort, *req.rng);
+  }
+  out.layer_spikes.push_back(ws.cur.size());
+
+  LayerRole role = LayerRole::kFirstHidden;
+  for (std::size_t s = 0; s + 1 < model.num_stages(); ++s) {
+    scheme.run_layer_into(ws.cur, *model.stage(s).synapse, role, ws, ws.next);
+    std::swap(ws.cur, ws.next);
+    role = LayerRole::kHidden;
+    if (req.noise != nullptr) {
+      req.noise->apply_inplace(ws.cur, ws.sort, *req.rng);
+    }
+    out.layer_spikes.push_back(ws.cur.size());
+  }
+
+  const SynapseTopology& readout_syn =
+      *model.stage(model.num_stages() - 1).synapse;
+  out.logits = Tensor{Shape{readout_syn.out_size()}};
+  scheme.readout_into(ws.cur, readout_syn, role, ws, out.logits.data());
+  out.decision_timestep = ws.cur.window();
+  out.margin = logit_margin(out.logits.data(), out.logits.numel());
+  out.total_spikes = 0;
+  for (const std::size_t n : out.layer_spikes) {
+    out.total_spikes += n;
+  }
+  out.predicted_class = ops::argmax(out.logits);
 }
 
 }  // namespace tsnn::snn::test

@@ -109,27 +109,6 @@ TEST(EventBuffer, ResetRecyclesCapacityAcrossShapes) {
   EXPECT_EQ(buf.step_count(4), 1u);
 }
 
-TEST(EventBuffer, RemoveIfNotCompactsAndRebuildsOffsets) {
-  EventBuffer buf = golden_input();
-  const std::size_t before = buf.size();
-  buf.remove_if_not([](std::int32_t t, std::uint32_t) { return t % 2 == 0; });
-  EXPECT_LT(buf.size(), before);
-  for (std::size_t t = 0; t < buf.window(); ++t) {
-    if (t % 2 == 1) {
-      EXPECT_EQ(buf.step_count(t), 0u) << "odd step " << t << " survived";
-    }
-  }
-  // Flat arrays and CSR stay consistent after compaction.
-  std::size_t per_step = 0;
-  for (std::size_t t = 0; t < buf.window(); ++t) {
-    for (std::size_t i = 0; i < buf.step_count(t); ++i) {
-      EXPECT_EQ(buf.times()[per_step + i], static_cast<std::int32_t>(t));
-    }
-    per_step += buf.step_count(t);
-  }
-  EXPECT_EQ(per_step, buf.size());
-}
-
 TEST(EventBuffer, RemapTimesRebucketsStably) {
   EventBuffer buf;
   EventSortScratch scratch;

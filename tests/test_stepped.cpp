@@ -1,13 +1,17 @@
-// Tests for the time-major stepped simulation core (snn::SteppedRunner).
+// Tests for the simulation driver, snn::simulate_into, against the
+// layer-sequential oracle test::reference_simulate (spike_test_util.h).
 //
-// The load-bearing contract: with the DecisionPolicy off, the stepped core
-// is bit-identical to the layer-sequential reference -- same logits, same
-// spike counts, same per-train tallies -- across every coding scheme, both
-// stage topologies (dense-only and conv/pool), and every noise condition.
-// Policy edge cases (never-firing margin, min_timesteps == window, hard
-// deadline) and the determinism contract (early exit must not perturb the
-// per-image RNG streams of later images) ride on top, plus unit coverage
-// for EventBuffer's incremental close_step() production.
+// The load-bearing contract: whenever the DecisionPolicy does not fire,
+// simulate_into is bit-identical to the oracle -- same logits, same spike
+// counts, same per-train tallies -- across every coding scheme, both stage
+// topologies (dense-only and conv/pool), and every noise condition. The
+// grid runs twice: policy off (stage-by-stage regime throughout) and a
+// never-firing margin (the lockstep wavefront on clean rate/phase/burst,
+// stage by stage elsewhere), pinning both regimes to the one oracle.
+// Policy edge cases (min_timesteps == window, hard deadline) and the
+// determinism contract (early exit must not perturb the per-image RNG
+// streams of later images) ride on top, plus unit coverage for
+// EventBuffer's incremental close_step() production.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,9 +25,12 @@
 #include "snn/simulator.h"
 #include "snn/topology.h"
 #include "snn/workspace.h"
+#include "spike_test_util.h"
 
 namespace tsnn::snn {
 namespace {
+
+using test::reference_simulate;
 
 /// Two-stage dense model (5 -> 4 -> 3), the simulator-golden fixture shape.
 SnnModel dense_model() {
@@ -90,14 +97,19 @@ void expect_identical(const SimResult& a, const SimResult& b,
 }
 
 // ---------------------------------------------------------------------------
-// Policy off => the stepped core is bit-identical to the reference, for
-// every coding x {dense, conv} x {clean, deletion, jitter}.
+// Whenever the policy does not fire, simulate_into is bit-identical to the
+// oracle, for every coding x {dense, conv} x {clean, deletion, jitter} x
+// 2 streams.
 
-TEST(SteppedCore, PolicyOffBitIdenticalToSequential) {
+/// Runs the full grid under `policy` (which must never fire) on `ws`,
+/// reused across all combos like a sweep, checking every cell against the
+/// oracle on its own workspace.
+void expect_grid_matches_reference(const DecisionPolicy& policy,
+                                   SimWorkspace& ws) {
   const SnnModel dense = dense_model();
   const SnnModel conv = conv_model();
-  SimWorkspace seq_ws, stepped_ws;  // reused across all combos, like a sweep
-  SimResult seq, stepped;
+  SimWorkspace ref_ws;
+  SimResult ref, res;
   for (const SnnModel* model : {&dense, &conv}) {
     const Tensor img = image_for(*model);
     for (const Coding c : all_codings()) {
@@ -108,42 +120,34 @@ TEST(SteppedCore, PolicyOffBitIdenticalToSequential) {
                       : (cond == 1 ? noise::make_deletion(0.3)
                                    : noise::make_jitter(1.0));
         for (std::uint64_t stream = 0; stream < 2; ++stream) {
+          const std::string what = policy.describe() + " " + coding_name(c) +
+                                   " cond " + std::to_string(cond) +
+                                   " stream " + std::to_string(stream);
           Rng rng1 = Rng::for_stream(9001, stream);
           Rng rng2 = Rng::for_stream(9001, stream);
-          simulate_sequential_into(
-              SimRequest{model, scheme.get(), noise.get(), &rng1, &seq_ws},
-              img, seq);
-          simulate_stepped_into(
-              SimRequest{model, scheme.get(), noise.get(), &rng2, &stepped_ws},
-              img, stepped);
-          expect_identical(seq, stepped,
-                           coding_name(c) + " cond " + std::to_string(cond) +
-                               " stream " + std::to_string(stream));
+          reference_simulate(
+              SimRequest{model, scheme.get(), noise.get(), &rng1, &ref_ws},
+              img, ref);
+          simulate_into(SimRequest{model, scheme.get(), noise.get(), &rng2,
+                                   &ws, policy},
+                        img, res);
+          expect_identical(ref, res, what);
+          // The oracle's decision_timestep is by contract the full readout
+          // window, so equality above also pins res to it; assert it is
+          // nonzero to guard against a vacuous 0 == 0 comparison.
+          EXPECT_GT(res.decision_timestep, 0u) << what;
         }
       }
     }
   }
 }
 
-// simulate_into() itself routes by policy: off -> reference, and the two
-// entry points agree with the explicit cores.
-
-TEST(SteppedCore, SimulateIntoRoutesByPolicy) {
-  const SnnModel model = dense_model();
-  const Tensor img = image_for(model);
-  const auto scheme = scheme_for(Coding::kRate);
-  SimResult via_router, via_core;
-  simulate_into(SimRequest{&model, scheme.get()}, img, via_router);
-  simulate_sequential_into(SimRequest{&model, scheme.get()}, img, via_core);
-  expect_identical(via_router, via_core, "policy off routes to reference");
-
-  SimRequest req{&model, scheme.get()};
-  req.policy.mode = DecisionPolicy::Mode::kMargin;
-  req.policy.margin = 0.01f;
-  req.policy.min_timesteps = 1;
-  simulate_into(req, img, via_router);
-  simulate_stepped_into(req, img, via_core);
-  expect_identical(via_router, via_core, "policy on routes to stepped");
+TEST(SteppedCore, PolicyOffBitIdenticalToReference) {
+  SimWorkspace ws;
+  expect_grid_matches_reference(DecisionPolicy{}, ws);
+  // Policy off never reaches the wavefront: one stage in flight at a time,
+  // so no per-stage state is ever leased.
+  EXPECT_TRUE(ws.stages.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -151,23 +155,15 @@ TEST(SteppedCore, SimulateIntoRoutesByPolicy) {
 
 TEST(SteppedCore, NeverFiringMarginConsumesFullWindow) {
   // A margin no logit gap can reach never exits early: results identical to
-  // the reference, decision_timestep == the full readout window.
-  const SnnModel model = conv_model();
-  const Tensor img = image_for(model);
-  for (const Coding c : all_codings()) {
-    const auto scheme = scheme_for(c);
-    SimResult ref, res;
-    simulate_sequential_into(SimRequest{&model, scheme.get()}, img, ref);
-    SimRequest req{&model, scheme.get()};
-    req.policy.mode = DecisionPolicy::Mode::kMargin;
-    req.policy.margin = 1e9f;
-    simulate_stepped_into(req, img, res);
-    expect_identical(ref, res, std::string("never-firing ") + coding_name(c));
-    // The reference's decision_timestep is by contract the full readout
-    // window, so equality above also pins res to it; assert it is nonzero
-    // to guard against a vacuous 0 == 0 comparison.
-    EXPECT_GT(res.decision_timestep, 0u) << coding_name(c);
-  }
+  // the oracle, decision_timestep == the full readout window, in both
+  // regimes.
+  DecisionPolicy never;
+  never.mode = DecisionPolicy::Mode::kMargin;
+  never.margin = 1e9f;
+  SimWorkspace ws;
+  expect_grid_matches_reference(never, ws);
+  // Clean rate/phase/burst cells ran the lockstep wavefront.
+  EXPECT_FALSE(ws.stages.empty());
 }
 
 TEST(SteppedCore, MinTimestepsAtWindowIsNoOp) {
@@ -178,12 +174,12 @@ TEST(SteppedCore, MinTimestepsAtWindowIsNoOp) {
   for (const Coding c : all_codings()) {
     const auto scheme = scheme_for(c);
     SimResult ref, res;
-    simulate_sequential_into(SimRequest{&model, scheme.get()}, img, ref);
+    reference_simulate(SimRequest{&model, scheme.get()}, img, ref);
     SimRequest req{&model, scheme.get()};
     req.policy.mode = DecisionPolicy::Mode::kMargin;
     req.policy.margin = 0.0f;
     req.policy.min_timesteps = ref.decision_timestep;  // == readout window
-    simulate_stepped_into(req, img, res);
+    simulate_into(req, img, res);
     expect_identical(ref, res, std::string("min==window ") + coding_name(c));
   }
 }
@@ -209,12 +205,12 @@ TEST(SteppedCore, AggressiveMarginExitsEarlyOnTemporalCoding) {
   const Tensor img = image_for(model);
   const auto scheme = scheme_for(Coding::kTtfs);
   SimResult ref, res;
-  simulate_sequential_into(SimRequest{&model, scheme.get()}, img, ref);
+  reference_simulate(SimRequest{&model, scheme.get()}, img, ref);
   SimRequest req{&model, scheme.get()};
   req.policy.mode = DecisionPolicy::Mode::kMargin;
   req.policy.margin = 1e-4f;
   req.policy.min_timesteps = 1;
-  simulate_stepped_into(req, img, res);
+  simulate_into(req, img, res);
   EXPECT_LT(res.decision_timestep, ref.decision_timestep);
   EXPECT_GE(res.margin, req.policy.margin);
 }
@@ -247,7 +243,7 @@ TEST(SteppedCore, EarlyExitDoesNotPerturbLaterImages) {
   for (std::size_t i = 0; i < images.size(); ++i) {
     SimWorkspace ws;
     Rng rng = Rng::for_stream(777, i);
-    simulate_stepped_into(
+    simulate_into(
         SimRequest{&model, scheme.get(), noise.get(), &rng, &ws, aggressive},
         images[i], solo[i]);
   }
@@ -258,7 +254,7 @@ TEST(SteppedCore, EarlyExitDoesNotPerturbLaterImages) {
   for (std::size_t i = 0; i < images.size(); ++i) {
     Rng rng = Rng::for_stream(777, i);
     SimResult batched;
-    simulate_stepped_into(
+    simulate_into(
         SimRequest{&model, scheme.get(), noise.get(), &rng, &ws, aggressive},
         images[i], batched);
     expect_identical(solo[i], batched, "image " + std::to_string(i));

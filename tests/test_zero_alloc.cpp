@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <tuple>
 
 #include "coding/registry.h"
 #include "common/thread_pool.h"
@@ -69,23 +70,38 @@ Tensor test_image() {
   return img;
 }
 
-class ZeroAllocSweep : public ::testing::TestWithParam<Coding> {};
+/// The policy-on input of every test: a kMargin policy no logit gap can
+/// reach, so the readout consults it after every step without ever exiting
+/// -- clean rate runs the lockstep wavefront, noisy inputs the stage-by-
+/// stage regime with a stepped readout.
+DecisionPolicy never_firing() {
+  DecisionPolicy p;
+  p.mode = DecisionPolicy::Mode::kMargin;
+  p.margin = 1e9f;
+  return p;
+}
+
+/// (coding, policy on?)
+class ZeroAllocSweep
+    : public ::testing::TestWithParam<std::tuple<Coding, bool>> {};
 
 TEST_P(ZeroAllocSweep, SteadyStateSimulationAllocatesNothing) {
   const SnnModel model = test_model();
   const Tensor img = test_image();
-  const auto scheme = GetParam() == Coding::kTtas
-                          ? core::make_ttas(5)
-                          : coding::make_scheme(GetParam());
+  const auto [kind, policy_on] = GetParam();
+  const auto scheme = kind == Coding::kTtas ? core::make_ttas(5)
+                                            : coding::make_scheme(kind);
   const auto noise = noise::make_deletion_jitter(0.3, 1.0);
+  const DecisionPolicy policy = policy_on ? never_firing() : DecisionPolicy{};
 
   SimWorkspace ws;
   SimResult result;
   const auto run_batch = [&] {
     for (std::uint64_t stream = 0; stream < 8; ++stream) {
       Rng rng = Rng::for_stream(4242, stream);
-      simulate_into(SimRequest{&model, scheme.get(), noise.get(), &rng, &ws},
-                    img, result);
+      simulate_into(
+          SimRequest{&model, scheme.get(), noise.get(), &rng, &ws, policy},
+          img, result);
     }
   };
 
@@ -99,18 +115,21 @@ TEST_P(ZeroAllocSweep, SteadyStateSimulationAllocatesNothing) {
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " allocations in the steady-state repeat of "
-      << scheme->name();
+      << scheme->name() << " (policy " << policy.describe() << ")";
   // The repeat really re-ran the work (identical streams, identical result).
   EXPECT_EQ(result.predicted_class, predicted_warm);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCodings, ZeroAllocSweep,
-                         ::testing::Values(Coding::kRate, Coding::kPhase,
-                                           Coding::kBurst, Coding::kTtfs,
-                                           Coding::kTtas),
-                         [](const ::testing::TestParamInfo<Coding>& info) {
-                           return coding_name(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllCodings, ZeroAllocSweep,
+    ::testing::Combine(::testing::Values(Coding::kRate, Coding::kPhase,
+                                         Coding::kBurst, Coding::kTtfs,
+                                         Coding::kTtas),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<Coding, bool>>& info) {
+      return coding_name(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_policy" : "");
+    });
 
 TEST(ZeroAlloc, ConsecutiveSweepCellsOnPersistentPoolAllocateNothing) {
   // The sweep-engine guarantee: once the pool workers' workspaces are warm,
@@ -176,15 +195,18 @@ TEST(ZeroAlloc, CleanPathAlsoAllocationFree) {
   const SnnModel model = test_model();
   const Tensor img = test_image();
   const auto scheme = coding::make_scheme(Coding::kRate);
-  SimWorkspace ws;
-  SimResult result;
-  const SimRequest req{&model, scheme.get(), nullptr, nullptr, &ws};
-  simulate_into(req, img, result);
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 5; ++i) {
+  for (const DecisionPolicy& policy : {DecisionPolicy{}, never_firing()}) {
+    SimWorkspace ws;
+    SimResult result;
+    const SimRequest req{&model, scheme.get(), nullptr, nullptr, &ws, policy};
     simulate_into(req, img, result);
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 5; ++i) {
+      simulate_into(req, img, result);
+    }
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+        << "policy " << policy.describe();
   }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
 }
 
 }  // namespace
