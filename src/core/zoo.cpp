@@ -200,7 +200,8 @@ std::string zoo_artifact_key(DatasetKind kind) {
   // Canonical, human-readable rendering of every input that shapes the
   // converted weights. The leading "tsnz1" is the key schema version: bump
   // it when the *meaning* of a field changes without its value changing.
-  // TrainConfig::verbose is deliberately excluded (no effect on weights);
+  // TrainConfig::verbose is deliberately excluded (no effect on weights),
+  // as is the core count the trainer runs on (bit-identical on any);
   // dataset generation parameters are code constants covered by the CI
   // cache key over src/**, not by this string.
   const dnn::VggConfig v = vgg_config_for(kind);

@@ -17,6 +17,7 @@ class Relu : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override { return in; }
+  LayerPtr clone() const override { return std::make_unique<Relu>(*this); }
 
  private:
   std::string name_;

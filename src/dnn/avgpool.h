@@ -19,6 +19,7 @@ class AvgPool : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
+  LayerPtr clone() const override { return std::make_unique<AvgPool>(*this); }
 
   std::size_t kernel() const { return kernel_; }
 

@@ -25,6 +25,7 @@ class Conv2d : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
+  LayerPtr clone() const override { return std::make_unique<Conv2d>(*this); }
   std::vector<Param*> params() override;
 
   const Conv2dSpec& spec() const { return spec_; }

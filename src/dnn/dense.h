@@ -18,6 +18,7 @@ class Dense : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
+  LayerPtr clone() const override { return std::make_unique<Dense>(*this); }
   std::vector<Param*> params() override;
 
   std::size_t in_features() const { return in_features_; }

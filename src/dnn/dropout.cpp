@@ -1,5 +1,7 @@
 #include "dnn/dropout.h"
 
+#include <utility>
+
 namespace tsnn::dnn {
 
 Dropout::Dropout(std::string name, double rate, std::uint64_t seed)
@@ -7,24 +9,33 @@ Dropout::Dropout(std::string name, double rate, std::uint64_t seed)
   TSNN_CHECK_MSG(rate_ >= 0.0 && rate_ < 1.0, "dropout rate out of [0,1): " << rate_);
 }
 
+Tensor Dropout::draw_mask(const Shape& shape) {
+  const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
+  Tensor mask{shape};
+  float* pm = mask.data();
+  for (std::size_t i = 0; i < mask.numel(); ++i) {
+    pm[i] = rng_.bernoulli(rate_) ? 0.0f : keep_scale;
+  }
+  return mask;
+}
+
 Tensor Dropout::forward(const Tensor& x, bool training) {
   last_training_ = training;
   if (!training || rate_ == 0.0) {
     return x;
   }
-  const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
-  cached_mask_ = Tensor{x.shape()};
+  if (preset_mask_.empty()) {
+    cached_mask_ = draw_mask(x.shape());
+  } else {
+    TSNN_CHECK_SHAPE(preset_mask_.shape() == x.shape(),
+                     "dropout " << name_ << ": preset mask shape mismatch");
+    cached_mask_ = std::exchange(preset_mask_, Tensor{});
+  }
   Tensor y = x;
-  float* pm = cached_mask_.data();
+  const float* pm = cached_mask_.data();
   float* py = y.data();
   for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (rng_.bernoulli(rate_)) {
-      pm[i] = 0.0f;
-      py[i] = 0.0f;
-    } else {
-      pm[i] = keep_scale;
-      py[i] *= keep_scale;
-    }
+    py[i] = pm[i] == 0.0f ? 0.0f : py[i] * pm[i];
   }
   return y;
 }

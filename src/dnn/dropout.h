@@ -22,16 +22,30 @@ class Dropout : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override { return in; }
+  LayerPtr clone() const override { return std::make_unique<Dropout>(*this); }
 
   double rate() const { return rate_; }
 
   /// Reseeds the mask stream (used for reproducible training runs).
   void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
+  /// Draws the next scaled keep mask (0 or 1/(1-rate) per element) for an
+  /// input of `shape` from this layer's stream: one bernoulli per element,
+  /// in element order. A training forward() without a preset mask draws
+  /// exactly this.
+  Tensor draw_mask(const Shape& shape);
+
+  /// Makes the next training forward() apply `mask` instead of drawing one.
+  /// The data-parallel trainer draws every sample's mask from the master
+  /// layer in sample order and presets it on the replica that runs the
+  /// sample, so the stream is the serial one on any core count.
+  void preset_mask(Tensor mask) { preset_mask_ = std::move(mask); }
+
  private:
   std::string name_;
   double rate_;
   Rng rng_;
+  Tensor preset_mask_;  ///< mask for the next training forward; empty = draw
   Tensor cached_mask_;  ///< scaled keep mask of the last training forward
   bool last_training_ = false;
 };

@@ -15,6 +15,7 @@ class Flatten : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   Tensor backward(const Tensor& grad_out) override;
   Shape output_shape(const Shape& in) const override;
+  LayerPtr clone() const override { return std::make_unique<Flatten>(*this); }
 
  private:
   std::string name_;

@@ -38,6 +38,9 @@ struct Param {
   void zero_grad() { grad.fill(0.0f); }
 };
 
+class Layer;
+using LayerPtr = std::unique_ptr<Layer>;
+
 /// Abstract differentiable layer.
 ///
 /// forward() caches whatever backward() needs; backward() consumes the
@@ -64,6 +67,10 @@ class Layer {
   /// Output shape for a given input shape (shape inference).
   virtual Shape output_shape(const Shape& in) const = 0;
 
+  /// Deep copy: parameters, gradients, forward caches and (for Dropout) the
+  /// mask stream. The data-parallel trainer runs one clone per worker.
+  virtual LayerPtr clone() const = 0;
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }
   std::vector<const Param*> params() const {
@@ -71,7 +78,5 @@ class Layer {
     return {mut.begin(), mut.end()};
   }
 };
-
-using LayerPtr = std::unique_ptr<Layer>;
 
 }  // namespace tsnn::dnn

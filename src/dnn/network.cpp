@@ -9,6 +9,14 @@ Network::Network(Shape input_shape)
   TSNN_CHECK_MSG(!input_shape_.empty(), "network input shape must be non-empty");
 }
 
+Network Network::clone() const {
+  Network copy(input_shape_);
+  for (const auto& layer : layers_) {
+    copy.add(layer->clone());
+  }
+  return copy;
+}
+
 void Network::add(LayerPtr layer) {
   TSNN_CHECK_MSG(layer != nullptr, "cannot add null layer");
   output_shape_ = layer->output_shape(output_shape_);

@@ -25,6 +25,10 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
+  /// Deep copy of every layer (Layer::clone). Copying is explicit because a
+  /// network is large; the data-parallel trainer clones one per worker.
+  Network clone() const;
+
   /// Appends a layer; its input shape must match the current output shape
   /// (validated via Layer::output_shape).
   void add(LayerPtr layer);

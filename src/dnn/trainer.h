@@ -2,6 +2,12 @@
 //
 // The trainer is deliberately decoupled from the data module: it accepts
 // parallel vectors of images and labels so any sample source can be used.
+//
+// Training is data-parallel and deterministic: each minibatch's samples run
+// on worker replicas of the network (Network::clone) and commit their
+// gradients to the master in sample order, so weights, per-epoch loss and
+// accuracy are bit-identical to a serial pass at any core count (see
+// ARCHITECTURE.md, "Deterministic parallel training").
 #pragma once
 
 #include <cstddef>
@@ -42,8 +48,9 @@ struct TrainResult {
 TrainResult train(Network& net, const std::vector<Tensor>& images,
                   const std::vector<std::size_t>& labels, const TrainConfig& config);
 
-/// Fraction of samples whose argmax prediction matches the label.
-double evaluate_accuracy(Network& net, const std::vector<Tensor>& images,
+/// Fraction of samples whose argmax prediction matches the label. Runs the
+/// forward passes on replicas across all cores; the count is exact.
+double evaluate_accuracy(const Network& net, const std::vector<Tensor>& images,
                          const std::vector<std::size_t>& labels);
 
 }  // namespace tsnn::dnn

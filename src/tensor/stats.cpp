@@ -36,7 +36,6 @@ double stddev(const std::vector<float>& v) { return std::sqrt(variance(v)); }
 double percentile(std::vector<float> v, double q) {
   TSNN_CHECK_MSG(!v.empty(), "percentile of empty vector");
   TSNN_CHECK_MSG(q >= 0.0 && q <= 100.0, "percentile q out of [0,100]: " << q);
-  std::sort(v.begin(), v.end());
   if (v.size() == 1) {
     return v.front();
   }
@@ -44,7 +43,14 @@ double percentile(std::vector<float> v, double q) {
   const auto lo_idx = static_cast<std::size_t>(std::floor(pos));
   const auto hi_idx = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo_idx);
-  return v[lo_idx] + frac * (v[hi_idx] - v[lo_idx]);
+  // The two order statistics a full sort would put at lo_idx and hi_idx:
+  // nth_element places the lo_idx-th, and hi_idx is lo_idx or lo_idx + 1,
+  // whose value is the minimum of the partition above it.
+  const auto lo_it = v.begin() + static_cast<std::ptrdiff_t>(lo_idx);
+  std::nth_element(v.begin(), lo_it, v.end());
+  const float lo = *lo_it;
+  const float hi = hi_idx == lo_idx ? lo : *std::min_element(lo_it + 1, v.end());
+  return lo + frac * (hi - lo);
 }
 
 std::size_t Histogram::total() const {

@@ -1,6 +1,10 @@
 // Forward-pass correctness tests for every DNN layer.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <set>
+
 #include "common/rng.h"
 #include "dnn/activations.h"
 #include "dnn/avgpool.h"
@@ -228,6 +232,114 @@ TEST(Network, SummaryMentionsLayers) {
   const std::string s = net.summary();
   EXPECT_NE(s.find("fc1"), std::string::npos);
   EXPECT_NE(s.find("fc2"), std::string::npos);
+}
+
+bool bits_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+Tensor random_tensor(const Shape& shape, Rng& rng) {
+  Tensor t{shape};
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return t;
+}
+
+TEST(Layer, CloneIsDeep) {
+  struct Case {
+    std::function<LayerPtr()> make;
+    Shape in;
+    Shape clone_in;  ///< the clone's input; a new shape where only a shape is cached
+  };
+  const std::vector<Case> cases{
+      {[] {
+         return std::make_unique<Conv2d>(
+             "conv", Conv2dSpec{.in_channels = 2, .out_channels = 3, .kernel = 3,
+                                .stride = 1, .pad = 1, .use_bias = true});
+       },
+       {2, 5, 5}, {2, 5, 5}},
+      {[] { return std::make_unique<Dense>("fc", 6, 4, /*use_bias=*/true); }, {6}, {6}},
+      {[] { return std::make_unique<AvgPool>("pool", 2); }, {2, 4, 4}, {3, 6, 6}},
+      {[] { return std::make_unique<Relu>("relu"); }, {2, 3, 3}, {2, 3, 3}},
+      {[] { return std::make_unique<Dropout>("drop", 0.5, 99); }, {2, 3, 3}, {2, 3, 3}},
+      {[] { return std::make_unique<Flatten>("flat"); }, {2, 3, 3}, {3, 2, 2}},
+  };
+  std::set<LayerKind> covered;
+  for (const Case& c : cases) {
+    LayerPtr orig = c.make();
+    LayerPtr ref = c.make();
+    SCOPED_TRACE(layer_kind_name(orig->kind()));
+    covered.insert(orig->kind());
+    for (Layer* layer : {orig.get(), ref.get()}) {
+      Rng init(7);
+      for (Param* p : layer->params()) {
+        p->value = random_tensor(p->value.shape(), init);
+        p->grad = random_tensor(p->grad.shape(), init);
+      }
+    }
+    Rng data(11);
+    const Tensor x = random_tensor(c.in, data);
+    const Tensor g = random_tensor(orig->output_shape(c.in), data);
+    orig->forward(x, /*training=*/true);
+    ref->forward(x, /*training=*/true);
+
+    LayerPtr copy = orig->clone();
+    ASSERT_EQ(copy->kind(), orig->kind());
+    EXPECT_EQ(copy->name(), orig->name());
+    ASSERT_EQ(copy->params().size(), orig->params().size());
+    for (std::size_t j = 0; j < copy->params().size(); ++j) {
+      EXPECT_TRUE(bits_equal(copy->params()[j]->value, orig->params()[j]->value));
+      EXPECT_TRUE(bits_equal(copy->params()[j]->grad, orig->params()[j]->grad));
+    }
+    // Mutate the clone's weights, grads and caches.
+    for (Param* p : copy->params()) {
+      p->value.fill(3.0f);
+      p->grad.fill(-2.0f);
+    }
+    const Tensor x2 = random_tensor(c.clone_in, data);
+    copy->forward(x2, /*training=*/true);
+    copy->backward(random_tensor(copy->output_shape(c.clone_in), data));
+
+    // The original still backpropagates its own sample with its own state.
+    EXPECT_TRUE(bits_equal(orig->backward(g), ref->backward(g)));
+    for (std::size_t j = 0; j < orig->params().size(); ++j) {
+      EXPECT_TRUE(bits_equal(orig->params()[j]->value, ref->params()[j]->value));
+      EXPECT_TRUE(bits_equal(orig->params()[j]->grad, ref->params()[j]->grad));
+    }
+  }
+  EXPECT_EQ(covered, (std::set<LayerKind>{LayerKind::kConv2d, LayerKind::kDense,
+                                          LayerKind::kAvgPool, LayerKind::kRelu,
+                                          LayerKind::kDropout, LayerKind::kFlatten}));
+}
+
+TEST(Layer, ClonedDropoutContinuesTheStream) {
+  Dropout drop("drop", 0.5, 1234);
+  const Tensor x{Shape{64}, 1.0f};
+  drop.forward(x, /*training=*/true);
+  LayerPtr copy = drop.clone();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(bits_equal(drop.forward(x, /*training=*/true),
+                           copy->forward(x, /*training=*/true)));
+  }
+}
+
+TEST(Dropout, PresetMaskReplacesTheNextDraw) {
+  Dropout drawn("drop", 0.3, 77);
+  Dropout twin("drop", 0.3, 77);
+  Dropout preset("drop", 0.3, 5);
+  Rng rng(3);
+  const Tensor x = random_tensor(Shape{2, 4, 4}, rng);
+  const Tensor y = drawn.forward(x, /*training=*/true);
+  preset.preset_mask(twin.draw_mask(x.shape()));
+  EXPECT_TRUE(bits_equal(preset.forward(x, /*training=*/true), y));
+  // The preset is consumed: the next forward draws from the layer's own stream.
+  Dropout fresh("drop", 0.3, 5);
+  EXPECT_TRUE(bits_equal(preset.forward(x, /*training=*/true),
+                         fresh.forward(x, /*training=*/true)));
+  preset.preset_mask(Tensor{Shape{3}});
+  EXPECT_THROW(preset.forward(x, /*training=*/true), ShapeError);
 }
 
 TEST(Vgg, BuildsConfiguredArchitecture) {

@@ -1,6 +1,10 @@
 // Tests for descriptive statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "tensor/stats.h"
@@ -39,6 +43,46 @@ TEST(Stats, PercentileUnsortedInput) {
 TEST(Stats, PercentileErrors) {
   EXPECT_THROW(stats::percentile({}, 50), InvalidArgument);
   EXPECT_THROW(stats::percentile({1.0f}, 101), InvalidArgument);
+}
+
+/// The sort-based definition percentile() must reproduce bit for bit.
+double sorted_percentile(std::vector<float> v, double q) {
+  std::sort(v.begin(), v.end());
+  if (v.size() == 1) {
+    return v.front();
+  }
+  const double pos = q / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo_idx = static_cast<std::size_t>(std::floor(pos));
+  const auto hi_idx = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo_idx);
+  return v[lo_idx] + frac * (v[hi_idx] - v[lo_idx]);
+}
+
+TEST(Stats, PercentileEqualsSortedDefinitionExactly) {
+  Rng rng(2026);
+  std::vector<std::vector<float>> inputs{{3.5f}, {2.0f, -1.0f}, {4, 1, 3, 1, 2}};
+  for (const std::size_t n : {7u, 100u, 1001u, 4096u}) {
+    std::vector<float> v(n);
+    std::vector<float> dups(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = static_cast<float>(rng.normal(0.0, 3.0));
+      // Few distinct values, including both zeros, so order statistics tie.
+      dups[i] = static_cast<float>(rng.uniform_index(5)) * 0.25f - 0.5f;
+      if (i % 7 == 0) {
+        dups[i] = -0.0f;
+      }
+    }
+    inputs.push_back(std::move(v));
+    inputs.push_back(std::move(dups));
+  }
+  for (const std::vector<float>& v : inputs) {
+    for (const double q : {0.0, 0.1, 50.0, 99.9, 100.0}) {
+      const double want = sorted_percentile(v, q);
+      const double got = stats::percentile(v, q);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "n=" << v.size() << " q=" << q << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(Stats, HistogramCountsAndClamping) {
