@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <optional>
+#include <thread>
 
 #include "common/env.h"
 #include "common/string_util.h"
@@ -320,10 +321,12 @@ void write_scenario_suite_json(
                "  \"default_images\": %zu,\n"
                "  \"default_seed\": %llu,\n"
                "  \"isa\": \"%s\",\n"
+               "  \"cores\": %u,\n"
                "  \"scenarios\": [",
                json_escape(suite_label).c_str(), bench_images(),
                static_cast<unsigned long long>(bench_seed()),
-               json_escape(simd::active_isa()).c_str());
+               json_escape(simd::active_isa()).c_str(),
+               std::thread::hardware_concurrency());
   for (std::size_t s = 0; s < results.size(); ++s) {
     const core::ScenarioResult& result = results[s];
     std::fprintf(f,
@@ -402,12 +405,14 @@ void write_json_results(const std::string& name, const std::string& level_name,
                "  \"images\": %zu,\n"
                "  \"seed\": %llu,\n"
                "  \"isa\": \"%s\",\n"
+               "  \"cores\": %u,\n"
                "  \"early_exit\": \"%s\",\n"
                "  \"rows\": [",
                json_escape(name).c_str(), json_escape(level_name).c_str(),
                bench_images(),
                static_cast<unsigned long long>(bench_seed()),
                json_escape(simd::active_isa()).c_str(),
+               std::thread::hardware_concurrency(),
                json_escape(early_exit_label()).c_str());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const core::SweepRow& r = rows[i];

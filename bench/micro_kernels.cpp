@@ -15,9 +15,12 @@
 // the benchmark JSON context ("isa").
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 
+#include "coding/burst.h"
 #include "coding/registry.h"
+#include "common/aligned.h"
 #include "common/rng.h"
 #include "dnn/conv2d.h"
 #include "noise/noise.h"
@@ -243,6 +246,68 @@ BENCHMARK(BM_Encode)
     ->Arg(static_cast<int>(snn::Coding::kBurst))
     ->Arg(static_cast<int>(snn::Coding::kTtfs));
 
+/// Burst coding's firing scan over one layer of `channels` x `spatial`
+/// neurons with the registry's burst params. spatial > 1 is a conv layer:
+/// its potentials sit in the transposed {spatial, channel} accumulator, so
+/// the scan reads them through the umap gather; spatial == 1 is a dense
+/// layer on the identity map. One potential in eight covers its quantum
+/// (traced conv1a fires on about 12% of its neuron-steps) and the counters
+/// start below, at and above cap. Each iteration restores the
+/// potentials and counters (two copies of n words, the same on every table)
+/// so every pass fires the same neurons.
+void BM_BurstFire(benchmark::State& state) {
+  const auto channels = static_cast<std::size_t>(state.range(0));
+  const auto spatial = static_cast<std::size_t>(state.range(1));
+  const std::size_t n = channels * spatial;
+  const snn::CodingParams p = coding::default_params(snn::Coding::kBurst);
+  const coding::BurstScheme scheme(p);
+  float q[8];
+  for (std::size_t e = 0; e < 8; ++e) {
+    q[e] = p.threshold * scheme.burst_gain(e);
+  }
+  // Canonical neuron j sits at slot umap[j] (identity when spatial == 1).
+  aligned_vector<std::uint32_t> umap(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    umap[j] = static_cast<std::uint32_t>((j % spatial) * channels + j / spatial);
+  }
+  Rng rng(16);
+  aligned_vector<float> u0(n);
+  aligned_vector<std::uint32_t> k0(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    k0[j] = static_cast<std::uint32_t>(rng.uniform_index(p.burst_cap + 3));
+    const float quantum = q[std::min<std::size_t>(k0[j], p.burst_cap)];
+    const bool fires = rng.uniform(0.0, 1.0) < 0.125;
+    u0[umap[j]] =
+        static_cast<float>(rng.uniform(fires ? 1.0 : 0.0, fires ? 2.0 : 1.0)) *
+        quantum;
+  }
+  aligned_vector<float> u(n);
+  aligned_vector<std::uint32_t> k(n);
+  aligned_vector<std::uint32_t> fired(n);
+  simd::BurstFireCtx ctx;
+  ctx.u = u.data();
+  ctx.umap = spatial > 1 ? umap.data() : nullptr;
+  ctx.k = k.data();
+  ctx.n = n;
+  ctx.q = q;
+  ctx.cap = static_cast<std::uint32_t>(p.burst_cap);
+  ctx.fired = fired.data();
+  std::size_t nf = 0;
+  for (auto _ : state) {
+    std::copy(u0.begin(), u0.end(), u.begin());
+    std::copy(k0.begin(), k0.end(), k.begin());
+    nf = simd::kernels().burst_fire(ctx);
+    benchmark::DoNotOptimize(nf);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.counters["fired"] = static_cast<double>(nf);
+}
+// The TSNN_FAST zoo's conv1a (8 channels x 16x16) and fc1 (48) outputs:
+// the rows map onto perfbench's traced stage.burst.conv1a / fc1 spans.
+BENCHMARK(BM_BurstFire)->ArgNames({"ch", "hw"})->Args({8, 256})->Args({48, 1});
+
 /// Times `noise` the way the simulator runs it: apply_inplace() on a warm
 /// EventBuffer with warm scratch. Each iteration restores the clean rate
 /// train by copy-assignment (storage reused), so the loop allocates nothing.
@@ -275,9 +340,9 @@ void BM_JitterNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_JitterNoise);
 
-/// Registers one copy of the spike-propagation benches per runnable
-/// dispatch table, each pinned via ScopedKernelOverride for the duration of
-/// its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
+/// Registers one copy of the spike-propagation and burst-fire benches per
+/// runnable dispatch table, each pinned via ScopedKernelOverride for the
+/// duration of its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
 /// BM_DenseSpikePropagate<avx2+fma>/512/350 is the vector-vs-reference
 /// speedup on identical work. Only registered when more than one table is
 /// runnable (a TSNN_CPUFLAGS=scalar run has nothing to compare).
@@ -307,6 +372,11 @@ void register_isa_variants() {
                                  pinned(BM_ConvSpikePropagate))
         ->Args({64, 16, 1024})
         ->Args({128, 16, 2048});
+    benchmark::RegisterBenchmark(("BM_BurstFire" + suffix).c_str(),
+                                 pinned(BM_BurstFire))
+        ->ArgNames({"ch", "hw"})
+        ->Args({8, 256})
+        ->Args({48, 1});
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "simd/kernels.h"
 
 namespace tsnn::coding {
 
@@ -29,11 +30,30 @@ inline std::size_t isi_on_arrival(std::int64_t t, std::int64_t& last,
 BurstScheme::BurstScheme(snn::CodingParams params) : CodingScheme(params) {
   TSNN_CHECK_MSG(params_.burst_gain > 1.0f, "burst gain must exceed 1");
   TSNN_CHECK_MSG(params_.threshold > 0.0f, "burst threshold must be positive");
+  TSNN_CHECK_MSG(params_.burst_cap <= kMaxBurstCap,
+                 "burst_cap " << params_.burst_cap << " exceeds the limit of "
+                              << kMaxBurstCap);
+  for (std::size_t e = 0; e < gains_.size(); ++e) {
+    const auto ex = static_cast<int>(std::min(e, params_.burst_cap));
+    gains_[e] = std::pow(params_.burst_gain, static_cast<float>(ex));
+    layer_quanta_[e] = params_.threshold * gains_[e];
+  }
 }
 
-float BurstScheme::burst_gain(std::size_t k) const {
-  const auto e = static_cast<int>(std::min(k, params_.burst_cap));
-  return std::pow(params_.burst_gain, static_cast<float>(e));
+void BurstScheme::fire_into(float* u, const std::uint32_t* umap,
+                            std::uint32_t* k, std::size_t n, const float* q,
+                            std::uint32_t* fired, std::size_t t,
+                            EventBuffer& out) const {
+  simd::BurstFireCtx fire;
+  fire.u = u;
+  fire.umap = umap;
+  fire.k = k;
+  fire.n = n;
+  fire.q = q;
+  fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
+  fire.fired = fired;
+  const std::size_t nf = simd::kernels().burst_fire(fire);
+  out.push_step(static_cast<std::int32_t>(t), fired, nf);
 }
 
 void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
@@ -41,23 +61,18 @@ void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   const std::size_t n = activations.numel();
   out.reset(n, params_.window);
   // Injection a per step, drained by escalating burst quanta (base 1.0).
+  // Integration is an axpy (1 * a == a exactly) and the fire pass the
+  // burst_fire scan on the identity map -- bit-exact split, neurons are
+  // independent.
   ws.acc.assign(n, 0.0f);
   ws.k.assign(n, 0);
-  float* acc = ws.acc.data();
-  std::uint32_t* k = ws.k.data();
   const float* a = activations.data();
+  std::uint32_t* fired = ws.fired_scratch(n);
+  const auto& kern = simd::kernels();
   for (std::size_t t = 0; t < params_.window; ++t) {
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] += a[i];
-      const float quantum = burst_gain(k[i]);
-      if (acc[i] >= quantum) {
-        acc[i] -= quantum;
-        ++k[i];
-        out.push(static_cast<std::int32_t>(t), static_cast<std::uint32_t>(i));
-      } else {
-        k[i] = 0;
-      }
-    }
+    kern.axpy(ws.acc.data(), a, 1.0f, n);
+    fire_into(ws.acc.data(), nullptr, ws.k.data(), n, gains_.data(), fired, t,
+              out);
   }
   out.finalize(ws.sort);
 }
@@ -88,32 +103,23 @@ void BurstScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   st.isi_last.assign(in.num_neurons(), -10);
   st.isi_k.assign(in.num_neurons(), 0);
   st.k.assign(out_n, 0);
+  st.fired_scratch(out_n);
 }
 
 void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
                              LayerRole role, std::size_t t, snn::StageState& st,
                              EventBuffer& out) const {
-  const std::size_t out_n = syn.out_size();
-  const float theta = params_.threshold;
-  const float base_in = role == LayerRole::kFirstHidden ? 1.0f : theta;
-  float* u = st.u.data();
-  const std::uint32_t* umap = st.umap.data();
-  std::uint32_t* k_out = st.k.data();
+  const float base_in =
+      role == LayerRole::kFirstHidden ? 1.0f : params_.threshold;
   if (t < in.window()) {
     decode_arrivals(in, t, base_in, st);
-    syn.propagate_accum(st.batch, u);
+    syn.propagate_accum(st.batch, st.u.data());
   }
-  for (std::size_t j = 0; j < out_n; ++j) {
-    const float quantum = theta * burst_gain(k_out[j]);
-    float& uj = u[umap[j]];
-    if (uj >= quantum) {
-      uj -= quantum;
-      ++k_out[j];
-      out.push(static_cast<std::int32_t>(t), static_cast<std::uint32_t>(j));
-    } else {
-      k_out[j] = 0;
-    }
-  }
+  // Escalating soft reset: quantum theta * g^min(k, cap), drained on fire.
+  // Identity layouts skip the umap indirection inside the kernel.
+  fire_into(st.u.data(), st.transposed ? st.umap.data() : nullptr,
+            st.k.data(), syn.out_size(), layer_quanta_.data(),
+            st.fired.data(), t, out);
 }
 
 void BurstScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,

@@ -8,6 +8,8 @@
 // in noise robustness.
 #pragma once
 
+#include <array>
+
 #include "snn/coding_base.h"
 
 namespace tsnn::coding {
@@ -16,6 +18,10 @@ namespace tsnn::coding {
 /// decoding.
 class BurstScheme : public snn::CodingScheme {
  public:
+  /// Largest accepted burst_cap: the burst_fire kernel keeps the whole
+  /// quantum table, g^0 .. g^cap, in one 8-lane register.
+  static constexpr std::size_t kMaxBurstCap = 7;
+
   explicit BurstScheme(snn::CodingParams params);
 
   snn::Coding kind() const override { return snn::Coding::kBurst; }
@@ -48,14 +54,28 @@ class BurstScheme : public snn::CodingScheme {
   Tensor decode(const snn::EventBuffer& in) const override;
 
   /// Gain of the k-th consecutive spike, capped at burst_cap: g^min(k,cap).
-  float burst_gain(std::size_t k) const;
+  float burst_gain(std::size_t k) const {
+    return gains_[k < params_.burst_cap ? k : params_.burst_cap];
+  }
 
  private:
+  /// Runs the burst_fire kernel over `n` neurons with quanta `q` and emits
+  /// the fired neurons as step `t` of `out`.
+  void fire_into(float* u, const std::uint32_t* umap, std::uint32_t* k,
+                 std::size_t n, const float* q, std::uint32_t* fired,
+                 std::size_t t, snn::EventBuffer& out) const;
+
   /// Assembles the ISI-decoded arrival batch of step `t`: each sender's
   /// escalation counter k is reconstructed from its arrival history in
   /// st.isi_last/st.isi_k (sized to `in`, reset by begin_layer/begin_readout).
   void decode_arrivals(const snn::EventBuffer& in, std::size_t t,
                        float base_in, snn::StageState& st) const;
+
+  // gains_[e] = g^min(e, cap), built once with std::pow; layer_quanta_[e] =
+  // theta * gains_[e], the hidden layers' firing quanta. The encoder's
+  // quanta are gains_ itself (theta = 1 there, and 1 * g == g exactly).
+  std::array<float, kMaxBurstCap + 1> gains_{};
+  std::array<float, kMaxBurstCap + 1> layer_quanta_{};
 };
 
 }  // namespace tsnn::coding

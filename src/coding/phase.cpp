@@ -47,9 +47,7 @@ void PhaseScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
     }
     fire.threshold = phase_weight(t);
     const std::size_t nf = kern.threshold_fire(fire);
-    for (std::size_t f = 0; f < nf; ++f) {
-      out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-    }
+    out.push_step(static_cast<std::int32_t>(t), fire.fired, nf);
   }
   out.finalize(ws.sort);
 }
@@ -87,9 +85,7 @@ void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   fire.subtract = true;
   fire.fired = st.fired.data();
   const std::size_t nf = simd::kernels().threshold_fire(fire);
-  for (std::size_t f = 0; f < nf; ++f) {
-    out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-  }
+  out.push_step(static_cast<std::int32_t>(t), fire.fired, nf);
 }
 
 void PhaseScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,

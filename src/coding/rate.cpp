@@ -36,9 +36,7 @@ void RateScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   for (std::size_t t = 0; t < params_.window; ++t) {
     kern.axpy(fire.u, a, 1.0f, n);
     const std::size_t nf = kern.threshold_fire(fire);
-    for (std::size_t f = 0; f < nf; ++f) {
-      out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-    }
+    out.push_step(static_cast<std::int32_t>(t), fire.fired, nf);
   }
   out.finalize(ws.sort);
 }
@@ -76,9 +74,7 @@ void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   fire.subtract = true;
   fire.fired = st.fired.data();
   const std::size_t nf = simd::kernels().threshold_fire(fire);
-  for (std::size_t f = 0; f < nf; ++f) {
-    out.push(static_cast<std::int32_t>(t), fire.fired[f]);
-  }
+  out.push_step(static_cast<std::int32_t>(t), fire.fired, nf);
 }
 
 void RateScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,

@@ -1,14 +1,15 @@
 // Runtime-dispatched SIMD kernel layer.
 //
-// The four hot inner loops of the simulator -- dense fan-out scatter, conv
-// tap accumulate, the potential/threshold scan, and the in-place noise
-// compaction -- plus the dense-drive matvec and the axpy building block are
-// leaf functions behind a KernelDispatch table of function pointers, the
-// FFmpeg DSP-table idiom: callers marshal their state into a plain KernelCtx
-// view and invoke through kernels(), and the variant that runs (scalar
-// reference, AVX2, AVX2+FMA) is chosen once at startup from
-// cpu::allowed_features() -- so adding an ISA means adding leaf functions,
-// never touching the class hierarchy.
+// The hot inner loops of the simulator -- dense fan-out scatter, conv tap
+// accumulate, the potential/threshold scan, burst coding's escalating
+// firing scan, and the in-place noise compaction -- plus the dense-drive
+// matvec and the axpy building block are leaf functions behind a
+// KernelDispatch table of function pointers, the FFmpeg DSP-table idiom:
+// callers marshal their state into a plain KernelCtx view and invoke
+// through kernels(), and the variant that runs (scalar reference, AVX2,
+// AVX2+FMA) is chosen once at startup from cpu::allowed_features() -- so
+// adding an ISA means adding leaf functions, never touching the class
+// hierarchy.
 //
 // Exactness contract
 // ------------------
@@ -102,6 +103,24 @@ struct ThresholdCtx {
   std::uint32_t* fired = nullptr;
 };
 
+/// Burst-coding firing scan: visits canonical neurons j = 0..n in order,
+/// reading u[umap[j]] (umap == nullptr means identity). Neuron j's quantum
+/// is q[min(k[j], cap)]; when u >= quantum the neuron fires -- u is drained
+/// by the quantum, k[j] counts up and j is recorded into `fired` (capacity
+/// >= n) -- otherwise k[j] resets to 0. Returns the fired count. `q` holds
+/// 8 entries and cap <= 7, so one vector register carries the whole table.
+/// Bit-exact: one compare and at most one subtraction per neuron, in
+/// canonical order, exactly like the per-neuron escalation loop.
+struct BurstFireCtx {
+  float* u = nullptr;
+  const std::uint32_t* umap = nullptr;
+  std::uint32_t* k = nullptr;  ///< escalation counters, canonical order
+  std::size_t n = 0;
+  const float* q = nullptr;    ///< 8 quanta: theta * g^min(e, cap)
+  std::uint32_t cap = 0;       ///< largest quantum index used (<= 7)
+  std::uint32_t* fired = nullptr;
+};
+
 // ------------------------------------------------------- dispatch table ----
 
 /// Tunables that ride on the dispatch table so they can differ per ISA.
@@ -132,6 +151,7 @@ struct KernelDispatch {
   void (*dense_matvec)(const DenseMatvecCtx&) = nullptr;
   void (*conv_taps)(const ConvTapCtx&) = nullptr;
   std::size_t (*threshold_fire)(const ThresholdCtx&) = nullptr;
+  std::size_t (*burst_fire)(const BurstFireCtx&) = nullptr;
   /// y[i] += a * x[i] for i in [0, n) -- elementwise, bit-exact.
   void (*axpy)(float* y, const float* x, float a, std::size_t n) = nullptr;
   /// Keep-mask stream compaction: dst[k++] = src[i] for every i in order

@@ -202,6 +202,65 @@ std::size_t av_threshold_fire(const ThresholdCtx& ctx) {
   return fired;
 }
 
+// ---------------------------------------------------------- burst fire ----
+
+// Eight neurons per iteration: the quanta come out of the one-register
+// table by a lane permute on min(k, cap), the compare is the scalar >=,
+// and k = fired ? k + 1 : 0 is (k - mask) & mask on the all-ones compare
+// mask. Fired lanes are then visited in ascending order to drain u and
+// record the index, as in av_threshold_fire; lanes are independent, so
+// the vector compare cannot observe a stale value.
+std::size_t av_burst_fire(const BurstFireCtx& ctx) {
+  const __m256 table = _mm256_loadu_ps(ctx.q);
+  const __m256i cap = _mm256_set1_epi32(static_cast<int>(ctx.cap));
+  alignas(32) float quanta[8];
+  std::size_t fired = 0;
+  std::size_t j = 0;
+  for (; j + 8 <= ctx.n; j += 8) {
+    const __m256 v =
+        ctx.umap == nullptr
+            ? _mm256_loadu_ps(ctx.u + j)
+            : _mm256_i32gather_ps(ctx.u,
+                                  _mm256_loadu_si256(
+                                      reinterpret_cast<const __m256i*>(
+                                          ctx.umap + j)),
+                                  4);
+    auto* kp = reinterpret_cast<__m256i*>(ctx.k + j);
+    const __m256i k = _mm256_loadu_si256(kp);
+    const __m256 quantum =
+        _mm256_permutevar8x32_ps(table, _mm256_min_epu32(k, cap));
+    const __m256 ge = _mm256_cmp_ps(v, quantum, _CMP_GE_OQ);
+    const __m256i on = _mm256_castps_si256(ge);
+    _mm256_storeu_si256(kp, _mm256_and_si256(_mm256_sub_epi32(k, on), on));
+    int mask = _mm256_movemask_ps(ge);
+    if (mask == 0) {
+      continue;
+    }
+    _mm256_store_ps(quanta, quantum);
+    while (mask != 0) {
+      const int b = __builtin_ctz(static_cast<unsigned>(mask));
+      mask &= mask - 1;
+      const std::size_t pos = j + static_cast<std::size_t>(b);
+      const std::size_t idx = ctx.umap == nullptr ? pos : ctx.umap[pos];
+      ctx.u[idx] -= quanta[b];
+      ctx.fired[fired++] = static_cast<std::uint32_t>(pos);
+    }
+  }
+  for (; j < ctx.n; ++j) {
+    const std::size_t idx = ctx.umap == nullptr ? j : ctx.umap[j];
+    const float quantum = ctx.q[ctx.k[j] < ctx.cap ? ctx.k[j] : ctx.cap];
+    const float v = ctx.u[idx];
+    if (v >= quantum) {
+      ctx.u[idx] = v - quantum;
+      ++ctx.k[j];
+      ctx.fired[fired++] = static_cast<std::uint32_t>(j);
+    } else {
+      ctx.k[j] = 0;
+    }
+  }
+  return fired;
+}
+
 // ---------------------------------------------------------------- axpy ----
 
 void av_axpy(float* y, const float* x, float a, std::size_t n) {
@@ -275,6 +334,7 @@ KernelDispatch make_avx2_table(bool fma) {
   t.dense_matvec = fma ? av_dense_matvec_fma : av_dense_matvec;
   t.conv_taps = av_conv_taps;
   t.threshold_fire = av_threshold_fire;
+  t.burst_fire = av_burst_fire;
   t.axpy = av_axpy;
   t.mask_compact = av_mask_compact;
   return t;

@@ -74,6 +74,23 @@ std::size_t sc_threshold_fire(const ThresholdCtx& ctx) {
   return fired;
 }
 
+std::size_t sc_burst_fire(const BurstFireCtx& ctx) {
+  std::size_t fired = 0;
+  for (std::size_t j = 0; j < ctx.n; ++j) {
+    const std::size_t idx = ctx.umap == nullptr ? j : ctx.umap[j];
+    const float quantum = ctx.q[ctx.k[j] < ctx.cap ? ctx.k[j] : ctx.cap];
+    const float v = ctx.u[idx];
+    if (v >= quantum) {
+      ctx.u[idx] = v - quantum;
+      ++ctx.k[j];
+      ctx.fired[fired++] = static_cast<std::uint32_t>(j);
+    } else {
+      ctx.k[j] = 0;
+    }
+  }
+  return fired;
+}
+
 void sc_axpy(float* y, const float* x, float a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     y[i] += a * x[i];
@@ -99,6 +116,7 @@ const KernelDispatch kScalarTable = [] {
   t.dense_matvec = sc_dense_matvec;
   t.conv_taps = sc_conv_taps;
   t.threshold_fire = sc_threshold_fire;
+  t.burst_fire = sc_burst_fire;
   t.axpy = sc_axpy;
   t.mask_compact = sc_mask_compact;
   return t;

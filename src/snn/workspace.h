@@ -38,7 +38,7 @@ struct StageState {
                           ///< stage runs emit into a caller buffer)
 
   aligned_vector<float> u;             ///< membrane potentials accumulator
-  std::vector<std::uint32_t> k;        ///< burst escalation counters
+  aligned_vector<std::uint32_t> k;     ///< burst escalation counters
   std::vector<std::int64_t> isi_last;  ///< burst ISI decoder: last arrival
   std::vector<std::uint32_t> isi_k;    ///< burst ISI decoder: run length
   aligned_vector<std::uint32_t> umap;  ///< neuron -> accumulator slot
@@ -94,12 +94,12 @@ struct SimWorkspace {
   EventBuffer next;       ///< spike train the current stage emits
   EventSortScratch sort;  ///< counting-sort / noise keep-mask scratch
 
-  // The SIMD-streamed buffers (encoder charge, the firing scan's output)
-  // are aligned_vectors so the dispatch-table kernels (simd/kernels.h)
-  // never split cache lines.
+  // The SIMD-streamed buffers (encoder charge, burst counters, the firing
+  // scan's output) are aligned_vectors so the dispatch-table kernels
+  // (simd/kernels.h) never split cache lines.
   aligned_vector<float> acc;  ///< encoder charge accumulators
 
-  std::vector<std::uint32_t> k;        ///< burst escalation counters
+  aligned_vector<std::uint32_t> k;     ///< burst escalation counters
   aligned_vector<std::uint32_t> fired;  ///< threshold_fire kernel output
 
   /// Uninitialized fired-index scratch of capacity `n` for the

@@ -2,7 +2,8 @@
 // type: building trains from (t, neuron) pairs, flattening them back to
 // events, per-neuron views, one-call scheme helpers on a transient
 // workspace, the reference deletion/jitter loops that the in-place noise
-// models are checked against, and the layer-sequential simulation loop
+// models are checked against, the per-neuron burst coding loops that
+// BurstScheme is checked against, and the layer-sequential simulation loop
 // that snn::simulate_into is checked against.
 #pragma once
 
@@ -180,6 +181,141 @@ inline EventBuffer reference_jitter(const EventBuffer& in, double sigma,
     }
   }
   return from_buckets(in.num_neurons(), out);
+}
+
+// Reference burst coding: the per-neuron loops BurstScheme ran before its
+// gain table and the burst_fire kernel, with a std::pow per gain lookup.
+// They build their own potentials, counters and ISI decoder state from the
+// synapse's accumulator layout, so a BurstScheme with the same params must
+// match them bit for bit.
+
+/// g^min(k, cap), one std::pow per call.
+inline float reference_burst_gain(const CodingParams& p, std::size_t k) {
+  const auto e = static_cast<int>(std::min(k, p.burst_cap));
+  return std::pow(p.burst_gain, static_cast<float>(e));
+}
+
+/// Reference burst encoder: per neuron and step, integrate `a`, then fire
+/// and drain g^min(k, cap) when the charge covers it.
+inline EventBuffer reference_burst_encode(const CodingParams& p,
+                                          const Tensor& a) {
+  const std::size_t n = a.numel();
+  EventBuffer out;
+  out.reset(n, p.window);
+  std::vector<float> acc(n, 0.0f);
+  std::vector<std::uint32_t> k(n, 0);
+  for (std::size_t t = 0; t < p.window; ++t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      acc[i] += a[i];
+      const float quantum = reference_burst_gain(p, k[i]);
+      if (acc[i] >= quantum) {
+        acc[i] -= quantum;
+        ++k[i];
+        out.push(static_cast<std::int32_t>(t), static_cast<std::uint32_t>(i));
+      } else {
+        k[i] = 0;
+      }
+    }
+  }
+  EventSortScratch scratch;
+  out.finalize(scratch);
+  return out;
+}
+
+/// Canonical neuron -> accumulator slot of `syn`'s propagate_accum layout.
+inline std::vector<std::uint32_t> reference_accum_map(
+    const SynapseTopology& syn) {
+  const AccumLayout l = syn.accum_layout();
+  std::vector<std::uint32_t> map(syn.out_size());
+  for (std::size_t j = 0; j < map.size(); ++j) {
+    map[j] = static_cast<std::uint32_t>(
+        l.transposed ? (j % l.cols) * l.rows + j / l.cols : j);
+  }
+  return map;
+}
+
+/// Receiver-side ISI decoder of one burst train: one arrival batch per
+/// step, each spike weighted base_in * g^k with k its sender's run length.
+struct ReferenceBurstDecoder {
+  CodingParams p;
+  float base_in;
+  std::vector<std::int64_t> last;
+  std::vector<std::uint32_t> run;
+  SpikeBatch batch;
+
+  ReferenceBurstDecoder(const CodingParams& params, std::size_t senders,
+                        LayerRole role)
+      : p(params),
+        base_in(role == LayerRole::kFirstHidden ? 1.0f : params.threshold),
+        last(senders, -10),
+        run(senders, 0) {}
+
+  const SpikeBatch& arrivals(const EventBuffer& in, std::size_t t) {
+    batch.clear();
+    const EventBuffer::StepSpan span = in.step(t);
+    for (std::size_t i = 0; i < span.count; ++i) {
+      const std::uint32_t pre = span.ids[i];
+      const auto now = static_cast<std::int64_t>(t);
+      run[pre] = now == last[pre] + 1 ? run[pre] + 1 : 0;
+      last[pre] = now;
+      batch.add(pre, base_in * reference_burst_gain(p, run[pre]));
+    }
+    return batch;
+  }
+};
+
+/// Reference burst hidden layer over params.window steps: decode and
+/// propagate step t's arrivals, then fire every neuron whose potential
+/// covers theta * g^min(k, cap), draining that quantum.
+inline EventBuffer reference_burst_layer(const CodingParams& p,
+                                         const EventBuffer& in,
+                                         const SynapseTopology& syn,
+                                         LayerRole role) {
+  const std::size_t out_n = syn.out_size();
+  const std::vector<std::uint32_t> umap = reference_accum_map(syn);
+  std::vector<float> u(out_n, 0.0f);
+  std::vector<std::uint32_t> k(out_n, 0);
+  ReferenceBurstDecoder decoder(p, in.num_neurons(), role);
+  EventBuffer out;
+  out.reset(out_n, p.window);
+  for (std::size_t t = 0; t < p.window; ++t) {
+    if (t < in.window()) {
+      syn.propagate_accum(decoder.arrivals(in, t), u.data());
+    }
+    for (std::size_t j = 0; j < out_n; ++j) {
+      const float quantum = p.threshold * reference_burst_gain(p, k[j]);
+      float& uj = u[umap[j]];
+      if (uj >= quantum) {
+        uj -= quantum;
+        ++k[j];
+        out.push(static_cast<std::int32_t>(t), static_cast<std::uint32_t>(j));
+      } else {
+        k[j] = 0;
+      }
+    }
+  }
+  EventSortScratch scratch;
+  out.finalize(scratch);
+  return out;
+}
+
+/// Reference burst readout: the decoded arrivals of every step integrated
+/// into non-firing potentials, read out in canonical order.
+inline Tensor reference_burst_readout(const CodingParams& p,
+                                      const EventBuffer& in,
+                                      const SynapseTopology& syn,
+                                      LayerRole role) {
+  const std::vector<std::uint32_t> umap = reference_accum_map(syn);
+  std::vector<float> u(syn.out_size(), 0.0f);
+  ReferenceBurstDecoder decoder(p, in.num_neurons(), role);
+  for (std::size_t t = 0; t < in.window(); ++t) {
+    syn.propagate_accum(decoder.arrivals(in, t), u.data());
+  }
+  Tensor logits{Shape{syn.out_size()}};
+  for (std::size_t j = 0; j < umap.size(); ++j) {
+    logits[j] = u[umap[j]];
+  }
+  return logits;
 }
 
 // Reference simulation: the layer-sequential loop, built only from the

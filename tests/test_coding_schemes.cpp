@@ -2,14 +2,21 @@
 // coding-specific mechanics the paper's analysis relies on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "coding/burst.h"
 #include "coding/phase.h"
 #include "coding/rate.h"
 #include "coding/registry.h"
 #include "coding/ttfs.h"
+#include "common/error.h"
 #include "common/rng.h"
+#include "noise/noise.h"
+#include "simd/kernels.h"
 #include "snn/topology.h"
 #include "spike_test_util.h"
 
@@ -21,6 +28,7 @@ using snn::CodingParams;
 using snn::EventBuffer;
 using snn::LayerRole;
 using snn::test::encode;
+using snn::test::events_of;
 using snn::test::run_layer;
 
 /// Identity dense synapse of size n.
@@ -128,6 +136,116 @@ TEST(BurstScheme, GainLadderAndCap) {
   EXPECT_FLOAT_EQ(scheme->burst_gain(1), 2.0f);
   EXPECT_FLOAT_EQ(scheme->burst_gain(4), 16.0f);
   EXPECT_FLOAT_EQ(scheme->burst_gain(9), 16.0f);  // capped
+}
+
+TEST(BurstScheme, CapIsBoundedBySevenForTheKernelTable) {
+  CodingParams p = default_params(Coding::kBurst);
+  p.burst_cap = BurstScheme::kMaxBurstCap;
+  const BurstScheme widest(p);
+  EXPECT_FLOAT_EQ(widest.burst_gain(7), 128.0f);
+  EXPECT_FLOAT_EQ(widest.burst_gain(100), 128.0f);
+  p.burst_cap = BurstScheme::kMaxBurstCap + 1;
+  try {
+    BurstScheme{p};
+    FAIL() << "burst_cap 8 was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("limit of 7"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Random {rows, cols} weights in [lo, hi).
+Tensor random_weights(const Shape& shape, std::uint64_t seed, float lo,
+                      float hi) {
+  Tensor w{shape};
+  Rng rng(seed);
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    w[i] = static_cast<float>(rng.uniform(lo, hi));
+  }
+  return w;
+}
+
+/// Bitwise logit comparison (EXPECT_EQ on floats would let -0 == +0 pass).
+void expect_same_bits(const Tensor& want, const Tensor& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.numel(), got.numel()) << what;
+  for (std::size_t j = 0; j < want.numel(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(want[j]),
+              std::bit_cast<std::uint32_t>(got[j]))
+        << what << " logit " << j;
+  }
+}
+
+// BurstScheme (gain table + burst_fire kernel) against the per-neuron
+// std::pow loops it replaced, on every runnable dispatch table: the
+// encoder, then a dense layer (identity accumulator map) and a conv layer
+// (transposed map) fed clean, deleted and jittered trains, and the readout
+// behind each. Three gain/cap settings put counters below, at and above
+// cap.
+TEST(BurstScheme, MatchesPerNeuronPowReference) {
+  using snn::test::reference_burst_encode;
+  using snn::test::reference_burst_layer;
+  using snn::test::reference_burst_readout;
+  CodingParams base = default_params(Coding::kBurst);
+  CodingParams steep = base;
+  steep.burst_gain = 1.5f;
+  steep.burst_cap = 1;
+  CodingParams wide = base;
+  wide.burst_gain = 1.25f;
+  wide.burst_cap = 7;
+
+  const Tensor image = random_activations(3 * 6 * 6, 41, 0.0, 1.0);
+  // Hidden weights skewed positive so potentials outgrow the top quantum.
+  const snn::ConvTopology conv(
+      random_weights(Shape{5, 3, 3, 3}, 42, -0.4f, 1.2f), 6, 6, 1, 1);
+  const snn::DenseTopology dense(
+      random_weights(Shape{29, conv.out_size()}, 43, -0.05f, 0.12f));
+  const snn::DenseTopology head(
+      random_weights(Shape{10, 29}, 44, -0.5f, 0.5f));
+  const auto deletion = noise::make_deletion(0.3);
+  const auto jitter = noise::make_jitter(1.5);
+
+  for (const simd::KernelDispatch* table : simd::runnable_tables()) {
+    const simd::ScopedKernelOverride pin(*table);
+    for (const CodingParams& p : {base, steep, wide}) {
+      const BurstScheme scheme(p);
+      const std::string at = std::string(table->isa) + " g=" +
+                             std::to_string(p.burst_gain) +
+                             " cap=" + std::to_string(p.burst_cap);
+      const EventBuffer clean = encode(scheme, image);
+      ASSERT_EQ(events_of(reference_burst_encode(p, image)), events_of(clean))
+          << at;
+      ASSERT_GT(clean.size(), 0u) << at;
+
+      Rng rng(7);
+      const EventBuffer inputs[] = {
+          clean, snn::test::corrupted(*deletion, clean, rng),
+          snn::test::corrupted(*jitter, clean, rng)};
+      for (const EventBuffer& in : inputs) {
+        const EventBuffer c =
+            run_layer(scheme, in, conv, LayerRole::kFirstHidden);
+        ASSERT_EQ(events_of(reference_burst_layer(p, in, conv,
+                                                  LayerRole::kFirstHidden)),
+                  events_of(c))
+            << at << " conv";
+        ASSERT_GT(c.size(), 0u) << at;
+        const EventBuffer d = run_layer(scheme, c, dense, LayerRole::kHidden);
+        ASSERT_EQ(
+            events_of(reference_burst_layer(p, c, dense, LayerRole::kHidden)),
+            events_of(d))
+            << at << " dense";
+        ASSERT_GT(d.size(), 0u) << at;
+        expect_same_bits(
+            reference_burst_readout(p, d, head, LayerRole::kHidden),
+            snn::test::readout(scheme, d, head, LayerRole::kHidden),
+            at + " readout");
+        expect_same_bits(
+            reference_burst_readout(p, c, dense, LayerRole::kHidden),
+            snn::test::readout(scheme, c, dense, LayerRole::kHidden),
+            at + " readout of the conv train");
+      }
+    }
+  }
 }
 
 TEST(BurstScheme, HighActivationUsesFewerSpikesThanRate) {

@@ -84,6 +84,95 @@ TEST(EventBuffer, PushValidatesBounds) {
   EXPECT_THROW(buf.push(0, 2), InvalidArgument);
 }
 
+/// The single-event form push_step() must agree with.
+void push_each(EventBuffer& buf, std::int32_t t,
+               const std::vector<std::uint32_t>& ids) {
+  for (const std::uint32_t id : ids) {
+    buf.push(t, id);
+  }
+}
+
+/// The flat, unfinalized event arrays.
+std::vector<SpikeEvent> raw_events(const EventBuffer& buf) {
+  std::vector<SpikeEvent> out;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    out.push_back(SpikeEvent{buf.neurons()[i], buf.times()[i]});
+  }
+  return out;
+}
+
+TEST(EventBuffer, PushStepMatchesSinglePushes) {
+  using Step = std::pair<std::int32_t, std::vector<std::uint32_t>>;
+  // Time-ordered (sort-free finalize) and out-of-order (counting sort)
+  // sequences, with empty steps and repeated steps.
+  const std::vector<std::vector<Step>> sequences{
+      {{0, {1, 3}}, {1, {}}, {1, {4, 0, 2}}, {1, {5}}, {4, {2}}},
+      {{3, {5, 0}}, {1, {1}}, {3, {2}}, {0, {4, 4}}, {2, {}}}};
+  for (const auto& seq : sequences) {
+    EventBuffer bulk;
+    EventBuffer single;
+    bulk.reset(6, 5);
+    single.reset(6, 5);
+    for (const auto& [t, ids] : seq) {
+      bulk.push_step(t, ids.data(), ids.size());
+      push_each(single, t, ids);
+      ASSERT_EQ(raw_events(bulk), raw_events(single)) << "step " << t;
+      EXPECT_EQ(bulk.finalized(), single.finalized());
+    }
+    // Same sorted_ bookkeeping: close_step accepts or rejects both alike.
+    bool bulk_closed = true;
+    bool single_closed = true;
+    try {
+      bulk.close_step();
+    } catch (const InvalidArgument&) {
+      bulk_closed = false;
+    }
+    try {
+      single.close_step();
+    } catch (const InvalidArgument&) {
+      single_closed = false;
+    }
+    EXPECT_EQ(bulk_closed, single_closed);
+    EventSortScratch scratch;
+    bulk.finalize(scratch);
+    single.finalize(scratch);
+    EXPECT_EQ(events_of(bulk), events_of(single));
+  }
+}
+
+TEST(EventBuffer, PushStepRejectsWhatPushRejects) {
+  const std::vector<std::uint32_t> ok{0, 1};
+  const std::vector<std::uint32_t> bad_id{0, 2, 1};  // 2 >= num_neurons
+  const auto fresh = [] {
+    EventBuffer buf;
+    buf.reset(2, 4);
+    buf.push(1, 1);
+    buf.close_step();  // step 0 closed
+    return buf;
+  };
+  struct Case {
+    const char* what;
+    std::int32_t t;
+    const std::vector<std::uint32_t>* ids;
+  };
+  for (const Case& c : {Case{"past window", 4, &ok}, Case{"negative", -1, &ok},
+                        Case{"closed step", 0, &ok},
+                        Case{"neuron out of range", 2, &bad_id}}) {
+    EventBuffer single = fresh();
+    EXPECT_THROW(push_each(single, c.t, *c.ids), InvalidArgument) << c.what;
+    EventBuffer bulk = fresh();
+    const std::vector<SpikeEvent> before = raw_events(bulk);
+    EXPECT_THROW(bulk.push_step(c.t, c.ids->data(), c.ids->size()),
+                 InvalidArgument)
+        << c.what;
+    EXPECT_EQ(raw_events(bulk), before) << c.what << ": nothing appended";
+  }
+  // Zero events are a no-op, like a loop of zero push() calls.
+  EventBuffer buf = fresh();
+  EXPECT_NO_THROW(buf.push_step(9, nullptr, 0));
+  EXPECT_EQ(buf.size(), 1u);
+}
+
 TEST(EventBuffer, CopyPreservesEverything) {
   const EventBuffer in = golden_input();
   EventBuffer buf;

@@ -1,14 +1,16 @@
 // Every-ISA equivalence matrix for the simd kernel layer (simd/kernels.h):
 // each runnable dispatch table is driven against the scalar reference on
 // randomized shapes with odd sizes and tail lanes. Scatter-shaped kernels
-// (dense_scatter, conv_taps, threshold_fire, axpy, mask_compact) must match
-// BIT-EXACTLY -- they preserve per-slot addition order and use separate
-// mul+add -- while dense_matvec reorders its dot-product reduction and is
-// held to the documented 1e-5 tolerance. Which tables are runnable is
+// (dense_scatter, conv_taps, threshold_fire, burst_fire, axpy,
+// mask_compact) must match BIT-EXACTLY -- they preserve per-slot addition
+// order and use separate mul+add -- while dense_matvec reorders its
+// dot-product reduction and is held to the documented 1e-5 tolerance. Which tables are runnable is
 // governed by TSNN_CPUFLAGS, so the CI scalar-forced leg shrinks this
 // matrix to the reference alone and the native leg covers every variant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -223,6 +225,73 @@ TEST_P(SimdEquivalence, ThresholdFireBitExact) {
         for (std::size_t j = 0; j < n; ++j) {
           ASSERT_EQ(u_ref[j], u_got[j]) << table().isa << " n=" << n
                                         << " subtract=" << subtract;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SimdEquivalence, BurstFireBitExact) {
+  Rng rng(0xb0257u);
+  for (const std::size_t n : kFanOuts) {
+    for (std::uint32_t cap = 0; cap <= 7; ++cap) {
+      for (const bool mapped : {false, true}) {
+        // Quanta of g = 1.5 at theta = 0.4, padded past cap like the
+        // scheme's table; potentials straddle them, with exact hits.
+        float q[8];
+        for (std::uint32_t e = 0; e < 8; ++e) {
+          q[e] = 0.4f * std::pow(1.5f, static_cast<float>(std::min(e, cap)));
+        }
+        // Counters below, at and above cap.
+        std::vector<std::uint32_t> k0(n);
+        for (auto& k : k0) {
+          k = static_cast<std::uint32_t>(rng.uniform_index(cap + 3));
+        }
+        auto u0 = random_floats(rng, n, 0.0f, 2.0f * q[cap]);
+        if (n > 2) {
+          u0[n / 2] = q[std::min(k0[n / 2], cap)];  // the >= edge must fire
+        }
+        // The transposed {spatial, channel} map of a conv layer.
+        const std::size_t rows = n % 3 == 0 ? 3 : 1;
+        const std::size_t cols = n / rows;
+        std::vector<std::uint32_t> umap(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          umap[j] = static_cast<std::uint32_t>((j % cols) * rows + j / cols);
+        }
+
+        auto u_ref = u0;
+        auto u_got = u0;
+        auto k_ref = k0;
+        auto k_got = k0;
+        std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
+        std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
+
+        simd::BurstFireCtx ctx;
+        ctx.umap = mapped ? umap.data() : nullptr;
+        ctx.n = n;
+        ctx.q = q;
+        ctx.cap = cap;
+
+        ctx.u = u_ref.data();
+        ctx.k = k_ref.data();
+        ctx.fired = fired_ref.data();
+        const std::size_t nref = simd::scalar_kernels().burst_fire(ctx);
+        ctx.u = u_got.data();
+        ctx.k = k_got.data();
+        ctx.fired = fired_got.data();
+        const std::size_t ngot = table().burst_fire(ctx);
+
+        ASSERT_EQ(nref, ngot) << table().isa << " n=" << n << " cap=" << cap
+                              << " mapped=" << mapped;
+        for (std::size_t j = 0; j < nref; ++j) {
+          ASSERT_EQ(fired_ref[j], fired_got[j]) << table().isa << " n=" << n;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(k_ref[j], k_got[j]) << table().isa << " n=" << n
+                                        << " cap=" << cap << " j=" << j;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(u_ref[j]),
+                    std::bit_cast<std::uint32_t>(u_got[j]))
+              << table().isa << " n=" << n << " cap=" << cap << " j=" << j;
         }
       }
     }
