@@ -260,6 +260,12 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string provenance_json() {
+  return "  \"isa\": \"" + json_escape(simd::active_isa()) + "\",\n" +
+         "  \"cores\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ",\n";
+}
+
 std::vector<std::string> sweep_csv_headers(const std::string& level_name) {
   return {"method", level_name, "accuracy", "mean_spikes",
           "mean_decision_timesteps"};
@@ -320,13 +326,11 @@ void write_scenario_suite_json(
                "  \"suite\": \"%s\",\n"
                "  \"default_images\": %zu,\n"
                "  \"default_seed\": %llu,\n"
-               "  \"isa\": \"%s\",\n"
-               "  \"cores\": %u,\n"
+               "%s"
                "  \"scenarios\": [",
                json_escape(suite_label).c_str(), bench_images(),
                static_cast<unsigned long long>(bench_seed()),
-               json_escape(simd::active_isa()).c_str(),
-               std::thread::hardware_concurrency());
+               provenance_json().c_str());
   for (std::size_t s = 0; s < results.size(); ++s) {
     const core::ScenarioResult& result = results[s];
     std::fprintf(f,
@@ -404,15 +408,13 @@ void write_json_results(const std::string& name, const std::string& level_name,
                "  \"level_name\": \"%s\",\n"
                "  \"images\": %zu,\n"
                "  \"seed\": %llu,\n"
-               "  \"isa\": \"%s\",\n"
-               "  \"cores\": %u,\n"
+               "%s"
                "  \"early_exit\": \"%s\",\n"
                "  \"rows\": [",
                json_escape(name).c_str(), json_escape(level_name).c_str(),
                bench_images(),
                static_cast<unsigned long long>(bench_seed()),
-               json_escape(simd::active_isa()).c_str(),
-               std::thread::hardware_concurrency(),
+               provenance_json().c_str(),
                json_escape(early_exit_label()).c_str());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const core::SweepRow& r = rows[i];

@@ -177,6 +177,10 @@ void write_scenario_suite_json(
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 std::string json_escape(const std::string& s);
 
+/// The provenance members every BENCH json carries, as document lines:
+/// `  "isa": "<active dispatch table>",\n  "cores": <hardware threads>,\n`.
+std::string provenance_json();
+
 /// Latency accumulator for the serve benches: record per-request latencies
 /// in microseconds, then summarize() the tail (nearest-rank percentiles
 /// over a sorted copy -- recording stays O(1) per sample on the hot path).

@@ -1,18 +1,22 @@
 // Google-benchmark micro-kernels for TSNN's hot paths: conv/dense forward,
-// event-driven synapse accumulation, batched spike propagation (the
-// *SpikeAccumulate vs *SpikePropagate pairs time the per-spike reference
-// against the cache-resident batched engine on identical batches), spike
+// batched spike propagation through SynapseTopology::propagate (the one
+// spike entry point the simulator runs), burst coding's fire scan, spike
 // encoding, and noise injection. These quantify the cost model behind the
 // figure benches (event-driven cost ~ spikes x fanout, which is why TTFS
 // simulations are ~10x cheaper than rate simulations).
 //
-// The spike-propagation benches also register one variant per runnable
-// SIMD dispatch table (e.g. BM_DenseSpikePropagate<scalar> next to
-// BM_DenseSpikePropagate<avx2+fma>), so one run measures the vector
-// speedup against the forced-scalar reference on identical batches. The
-// active table's dense-drive crossover shows up as the "dense_crossover"
-// counter on every propagate config, and the active ISA is stamped into
-// the benchmark JSON context ("isa").
+// BM_ConvSpikePropagate has one named row per conv stage of the TSNN_FAST
+// S-CIFAR10 zoo model (BM_ConvSpikePropagate/conv1a .. /conv2b), so each
+// row lines up with perfbench's traced stage.*.<stage>.us span and times
+// the conv_taps kernel at that stage's shape.
+//
+// The spike-propagation and burst-fire benches also register one variant
+// per runnable SIMD dispatch table (e.g. BM_ConvSpikePropagate<scalar>/conv1a
+// next to BM_ConvSpikePropagate<avx2+fma>/conv1a), so one run measures the
+// vector speedup against the forced-scalar reference on identical batches.
+// The active table's dense-drive crossover shows up as the
+// "dense_crossover" counter on every propagate config, and the active ISA
+// is stamped into the benchmark JSON context ("isa").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -96,25 +100,8 @@ snn::SpikeBatch make_batch(std::size_t in_size, std::size_t count,
   return batch;
 }
 
-// ---- Spike propagation: per-spike accumulate() baseline vs. the batched
-// ---- engine. Same spikes, same synapse; args are {layer size, spikes/step}.
-
-void BM_DenseSpikeAccumulate(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto spikes = static_cast<std::size_t>(state.range(1));
-  snn::DenseTopology syn(random_tensor(Shape{n, n}, 11));
-  const snn::SpikeBatch batch = make_batch(n, spikes, 12);
-  std::vector<float> u(syn.out_size(), 0.0f);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      syn.accumulate(batch.pre()[i], batch.magnitude()[i], u.data());
-    }
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(spikes * n));
-}
-BENCHMARK(BM_DenseSpikeAccumulate)->Args({512, 64})->Args({512, 350});
+// ---- Spike propagation through the batched engine; dense args are
+// ---- {layer size, spikes/step}.
 
 void BM_DenseSpikePropagate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -151,53 +138,52 @@ void BM_DenseSpikePropagateDenseDrive(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseSpikePropagateDenseDrive)->Arg(512);
 
-void BM_ConvSpikeAccumulate(benchmark::State& state) {
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  const auto hw = static_cast<std::size_t>(state.range(1));
-  const auto spikes = static_cast<std::size_t>(state.range(2));
-  snn::ConvTopology syn(random_tensor(Shape{channels, channels, 3, 3}, 13), hw,
-                        hw, 1, 1);
-  const snn::SpikeBatch batch = make_batch(syn.in_size(), spikes, 14);
-  std::vector<float> u(syn.out_size(), 0.0f);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      syn.accumulate(batch.pre()[i], batch.magnitude()[i], u.data());
-    }
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(spikes * 9 * channels));
-}
-// Configurations target the regime the batched engine exists for: conv
-// layers whose weights outgrow L1 (64ch: 147 KB, 128ch: 590 KB), where the
-// reference's oc-strided weight reads miss on every access. Tiny
-// L1-resident layers run at parity either way (both are scalar-scatter
-// bound) and are not the scaling bottleneck.
-BENCHMARK(BM_ConvSpikeAccumulate)
-    ->Args({64, 16, 1024})
-    ->Args({128, 16, 2048});
+/// One conv stage of the TSNN_FAST S-CIFAR10 zoo model (3x3 kernel,
+/// stride 1, pad 1), named after its perfbench stage span.
+struct ZooConv {
+  const char* name;
+  std::size_t in_ch;
+  std::size_t out_ch;
+  std::size_t hw;
+};
+constexpr ZooConv kZooConvs[] = {{"conv1a", 3, 8, 16},
+                                 {"conv1b", 8, 8, 16},
+                                 {"conv2a", 8, 16, 8},
+                                 {"conv2b", 16, 16, 8}};
 
-void BM_ConvSpikePropagate(benchmark::State& state) {
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  const auto hw = static_cast<std::size_t>(state.range(1));
-  const auto spikes = static_cast<std::size_t>(state.range(2));
-  snn::ConvTopology syn(random_tensor(Shape{channels, channels, 3, 3}, 13), hw,
-                        hw, 1, 1);
-  const snn::SpikeBatch batch = make_batch(syn.in_size(), spikes, 14);
-  std::vector<float> u(syn.out_size(), 0.0f);
+/// One timestep of a zoo conv stage: distinct spikes on 1/8 of its inputs
+/// (traced conv1a fires on about 12% of its neuron-steps, and its output
+/// is conv1b's input), below the dense-drive crossover, so the row times
+/// the conv_taps kernel. Items are the exact multiply-adds, edge taps
+/// included.
+void BM_ConvSpikePropagate(benchmark::State& state, const ZooConv& shape) {
+  snn::ConvTopology syn(
+      random_tensor(Shape{shape.out_ch, shape.in_ch, 3, 3}, 13), shape.hw,
+      shape.hw, 1, 1);
+  const snn::SpikeBatch batch =
+      make_batch(syn.in_size(), syn.in_size() / 8, 14);
+  std::size_t macs = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    // With a 3x3 kernel at pad 1, a border row or column loses one tap row.
+    const std::size_t sp = batch.pre()[i] % (shape.hw * shape.hw);
+    const auto taps_1d = [&](std::size_t c) {
+      return c == 0 || c + 1 == shape.hw ? std::size_t{2} : std::size_t{3};
+    };
+    macs += taps_1d(sp / shape.hw) * taps_1d(sp % shape.hw) * shape.out_ch;
+  }
+  aligned_vector<float> u(syn.out_size(), 0.0f);
   syn.propagate(batch, u.data());  // build the tap tables up front
   for (auto _ : state) {
     syn.propagate(batch, u.data());
     benchmark::DoNotOptimize(u.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(spikes * 9 * channels));
+                          static_cast<std::int64_t>(macs));
+  state.counters["spikes"] = static_cast<double>(batch.size());
   state.counters["dense_crossover"] =
       static_cast<double>(syn.dense_drive_threshold());
 }
-BENCHMARK(BM_ConvSpikePropagate)
-    ->Args({64, 16, 1024})
-    ->Args({128, 16, 2048});
 
 void BM_PoolSpikePropagate(benchmark::State& state) {
   snn::PoolTopology syn(16, 16, 16, 2);
@@ -211,22 +197,6 @@ void BM_PoolSpikePropagate(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_PoolSpikePropagate);
-
-void BM_ConvTopologyAccumulate(benchmark::State& state) {
-  const auto channels = static_cast<std::size_t>(state.range(0));
-  snn::ConvTopology syn(random_tensor(Shape{channels, channels, 3, 3}, 5), 16, 16,
-                        1, 1);
-  std::vector<float> u(syn.out_size(), 0.0f);
-  std::size_t pre = 0;
-  for (auto _ : state) {
-    syn.accumulate(pre, 0.4f, u.data());
-    pre = (pre + 97) % syn.in_size();
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(9 * channels));
-}
-BENCHMARK(BM_ConvTopologyAccumulate)->Arg(16)->Arg(64);
 
 void BM_Encode(benchmark::State& state) {
   const auto coding = static_cast<snn::Coding>(state.range(0));
@@ -340,10 +310,23 @@ void BM_JitterNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_JitterNoise);
 
+/// Registers BM_ConvSpikePropagate<suffix>/<stage> for every zoo conv
+/// stage, run through `wrap`.
+template <typename Wrap>
+void register_conv_rows(const std::string& suffix, const Wrap& wrap) {
+  for (const ZooConv& shape : kZooConvs) {
+    benchmark::RegisterBenchmark(
+        ("BM_ConvSpikePropagate" + suffix + "/" + shape.name).c_str(),
+        wrap([&shape](benchmark::State& state) {
+          BM_ConvSpikePropagate(state, shape);
+        }));
+  }
+}
+
 /// Registers one copy of the spike-propagation and burst-fire benches per
 /// runnable dispatch table, each pinned via ScopedKernelOverride for the
-/// duration of its run -- BM_DenseSpikePropagate<scalar>/512/350 next to
-/// BM_DenseSpikePropagate<avx2+fma>/512/350 is the vector-vs-reference
+/// duration of its run -- BM_ConvSpikePropagate<scalar>/conv1a next to
+/// BM_ConvSpikePropagate<avx2+fma>/conv1a is the vector-vs-reference
 /// speedup on identical work. Only registered when more than one table is
 /// runnable (a TSNN_CPUFLAGS=scalar run has nothing to compare).
 void register_isa_variants() {
@@ -354,7 +337,7 @@ void register_isa_variants() {
   }
   for (const tsnn::simd::KernelDispatch* table : tables) {
     const std::string suffix = "<" + std::string(table->isa) + ">";
-    const auto pinned = [table](void (*bench)(benchmark::State&)) {
+    const auto pinned = [table](auto bench) {
       return [table, bench](benchmark::State& state) {
         tsnn::simd::ScopedKernelOverride override_table(*table);
         bench(state);
@@ -368,10 +351,7 @@ void register_isa_variants() {
         ("BM_DenseSpikePropagateDenseDrive" + suffix).c_str(),
         pinned(BM_DenseSpikePropagateDenseDrive))
         ->Arg(512);
-    benchmark::RegisterBenchmark(("BM_ConvSpikePropagate" + suffix).c_str(),
-                                 pinned(BM_ConvSpikePropagate))
-        ->Args({64, 16, 1024})
-        ->Args({128, 16, 2048});
+    register_conv_rows(suffix, pinned);
     benchmark::RegisterBenchmark(("BM_BurstFire" + suffix).c_str(),
                                  pinned(BM_BurstFire))
         ->ArgNames({"ch", "hw"})
@@ -384,6 +364,7 @@ void register_isa_variants() {
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("isa", tsnn::simd::active_isa());
+  register_conv_rows("", [](auto bench) { return bench; });
   register_isa_variants();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

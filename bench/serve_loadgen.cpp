@@ -493,6 +493,9 @@ int main(int argc, char** argv) {
       std::string doc = "{\n";
       doc += "  \"bench\": \"serve_loadgen\",\n";
       doc += "  \"mode\": \"" + tsnn::bench::json_escape(opt.mode) + "\",\n";
+      // The forked server inherits this environment (TSNN_CPUFLAGS
+      // included), so it runs the same dispatch table on the same host.
+      doc += tsnn::bench::provenance_json();
       doc += "  \"rate_rps\": " + std::to_string(opt.rate) + ",\n";
       doc += "  \"requests\": " + std::to_string(opt.requests) + ",\n";
       doc += "  \"warmup\": " + std::to_string(opt.warmup) + ",\n";

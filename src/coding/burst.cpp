@@ -113,7 +113,7 @@ void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
       role == LayerRole::kFirstHidden ? 1.0f : params_.threshold;
   if (t < in.window()) {
     decode_arrivals(in, t, base_in, st);
-    syn.propagate_accum(st.batch, st.u.data());
+    syn.propagate(st.batch, st.u.data());
   }
   // Escalating soft reset: quantum theta * g^min(k, cap), drained on fire.
   // Identity layouts skip the umap indirection inside the kernel.
@@ -148,7 +148,7 @@ void BurstScheme::step_readout(const EventBuffer& in,
   const float base_in =
       role == LayerRole::kFirstHidden ? 1.0f : params_.threshold;
   decode_arrivals(in, t, base_in, st);
-  syn.propagate_accum(st.batch, st.u.data());
+  syn.propagate(st.batch, st.u.data());
 }
 
 Tensor BurstScheme::decode(const EventBuffer& in) const {

@@ -165,7 +165,7 @@ using CodingSchemePtr = std::unique_ptr<CodingScheme>;
 /// PSC magnitude depends on the timestep but not on the individual spike.
 /// `batch` is caller-owned scratch (reused across steps so the per-step
 /// assembly allocates only on growth); must not be shared across threads.
-/// Writes `u` in the topology's accumulator layout (propagate_accum) --
+/// Writes `u` in the topology's accumulator layout (accum_layout()) --
 /// consumers index it through StageState::accum_map().
 inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
                            const SynapseTopology& syn, SpikeBatch& batch,
@@ -175,7 +175,7 @@ inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
     return;
   }
   batch.assign(span.ids, span.count, m);
-  syn.propagate_accum(batch, u);
+  syn.propagate(batch, u);
 }
 
 }  // namespace tsnn::snn

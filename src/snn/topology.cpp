@@ -80,35 +80,10 @@ void SynapseTopology::dense_drive(const SpikeBatch& batch, float* u) const {
   apply_dense(x.data(), u);
 }
 
-void SynapseTopology::propagate(const SpikeBatch& batch, float* u) const {
-  if (batch.empty()) {
-    return;
-  }
-  if (batch.size() >= dense_drive_threshold()) {
-    dense_drive(batch, u);
-    return;
-  }
-  const std::uint32_t* pre = batch.pre();
-  const float* mag = batch.magnitude();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    accumulate(pre[i], mag[i], u);
-  }
-}
-
 // ---------------------------------------------------------------- Dense ----
 
 DenseTopology::DenseTopology(WeightBlock weight) : weight_(std::move(weight)) {
   TSNN_CHECK_SHAPE(weight_.rank() == 2, "dense topology weight must be rank 2");
-}
-
-void DenseTopology::accumulate(std::size_t pre, float m, float* u) const {
-  const std::size_t out = weight_.dim(0);
-  const std::size_t in = weight_.dim(1);
-  TSNN_CHECK_MSG(pre < in, "pre neuron " << pre << " out of range " << in);
-  const float* w = weight_.data() + pre;  // column `pre`, stride `in`
-  for (std::size_t j = 0; j < out; ++j) {
-    u[j] += m * w[j * in];
-  }
 }
 
 const float* DenseTopology::transposed() const {
@@ -217,43 +192,6 @@ std::size_t ConvTopology::in_size() const { return in_ch_ * in_h_ * in_w_; }
 
 std::size_t ConvTopology::out_size() const { return out_ch_ * out_h_ * out_w_; }
 
-void ConvTopology::accumulate(std::size_t pre, float m, float* u) const {
-  TSNN_CHECK_MSG(pre < in_size(), "pre neuron out of range");
-  const std::size_t ic = pre / (in_h_ * in_w_);
-  const std::size_t rem = pre % (in_h_ * in_w_);
-  const std::size_t iy = rem / in_w_;
-  const std::size_t ix = rem % in_w_;
-  const float* w = weight_.data();
-  // Output positions receiving from (iy, ix): oy*stride + ky - pad == iy.
-  for (std::size_t ky = 0; ky < kernel_; ++ky) {
-    const std::ptrdiff_t num_y =
-        static_cast<std::ptrdiff_t>(iy + pad_) - static_cast<std::ptrdiff_t>(ky);
-    if (num_y < 0 || num_y % static_cast<std::ptrdiff_t>(stride_) != 0) {
-      continue;
-    }
-    const std::size_t oy = static_cast<std::size_t>(num_y) / stride_;
-    if (oy >= out_h_) {
-      continue;
-    }
-    for (std::size_t kx = 0; kx < kernel_; ++kx) {
-      const std::ptrdiff_t num_x =
-          static_cast<std::ptrdiff_t>(ix + pad_) - static_cast<std::ptrdiff_t>(kx);
-      if (num_x < 0 || num_x % static_cast<std::ptrdiff_t>(stride_) != 0) {
-        continue;
-      }
-      const std::size_t ox = static_cast<std::size_t>(num_x) / stride_;
-      if (ox >= out_w_) {
-        continue;
-      }
-      const std::size_t spatial = oy * out_w_ + ox;
-      for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-        const float wv = w[((oc * in_ch_ + ic) * kernel_ + ky) * kernel_ + kx];
-        u[oc * out_h_ * out_w_ + spatial] += m * wv;
-      }
-    }
-  }
-}
-
 const ConvTopology::PropagateCache& ConvTopology::cache() const {
   if (!cache_ready_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -263,8 +201,9 @@ const ConvTopology::PropagateCache& ConvTopology::cache() const {
       cache_.tap_offset.assign(hw + 1, 0);
       cache_.taps.clear();
       cache_.taps.reserve(hw * k2);
-      // Same (ky, kx) walk as accumulate(), with the div/mod validity test
-      // resolved once per input position instead of once per spike.
+      // Every output position receiving from (iy, ix): oy*stride + ky - pad
+      // == iy, and likewise for x. The div/mod validity test is resolved
+      // once per input position instead of once per spike.
       for (std::size_t iy = 0; iy < in_h_; ++iy) {
         for (std::size_t ix = 0; ix < in_w_; ++ix) {
           for (std::size_t ky = 0; ky < kernel_; ++ky) {
@@ -299,20 +238,16 @@ const ConvTopology::PropagateCache& ConvTopology::cache() const {
               static_cast<std::uint32_t>(cache_.taps.size());
         }
       }
-      // {ic, oc, k*k} layout: the per-spike inner loops read one contiguous
-      // k*k block per output channel instead of striding by in_ch*k*k.
-      cache_.weight_t.resize(weight_.numel());
-      // {ic, k*k, oc} layout for propagate_accum(): with the transposed
-      // {spatial, channel} accumulator, one tap's fan-out is a unit-stride
-      // multiply-add over out_ch in both the weight and the accumulator.
+      // {ic, k*k, oc} layout: with the transposed {spatial, channel}
+      // accumulator, one tap's fan-out is a unit-stride multiply-add over
+      // out_ch in both the weight and the accumulator.
       cache_.weight_acc.resize(weight_.numel());
       const float* w = weight_.data();
       for (std::size_t oc = 0; oc < out_ch_; ++oc) {
         for (std::size_t ic = 0; ic < in_ch_; ++ic) {
           for (std::size_t t = 0; t < k2; ++t) {
-            const float wv = w[(oc * in_ch_ + ic) * k2 + t];
-            cache_.weight_t[(ic * out_ch_ + oc) * k2 + t] = wv;
-            cache_.weight_acc[(ic * k2 + t) * out_ch_ + oc] = wv;
+            cache_.weight_acc[(ic * k2 + t) * out_ch_ + oc] =
+                w[(oc * in_ch_ + ic) * k2 + t];
           }
         }
       }
@@ -336,53 +271,10 @@ void ConvTopology::propagate(const SpikeBatch& batch, float* u) const {
     dense_drive(batch, u);
     return;
   }
-  const PropagateCache& c = cache();
-  const std::size_t hw = in_h_ * in_w_;
-  const std::size_t out_hw = out_h_ * out_w_;
-  const std::size_t k2 = kernel_ * kernel_;
-  const std::uint32_t* pre = batch.pre();
-  const float* mag = batch.magnitude();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    TSNN_CHECK_MSG(pre[i] < in_size(), "pre neuron out of range");
-    const std::size_t ic = pre[i] / hw;
-    const std::size_t sp = pre[i] - ic * hw;
-    const Tap* taps = c.taps.data() + c.tap_offset[sp];
-    const std::size_t num_taps = c.tap_offset[sp + 1] - c.tap_offset[sp];
-    if (num_taps == 0) {
-      continue;
-    }
-    const float m = mag[i];
-    const float* wt = c.weight_t.data() + ic * out_ch_ * k2;
-    float* umap = u;
-    for (std::size_t oc = 0; oc < out_ch_; ++oc, wt += k2, umap += out_hw) {
-      for (std::size_t t = 0; t < num_taps; ++t) {
-        umap[taps[t].spatial] += m * wt[taps[t].wofs];
-      }
-    }
-  }
-}
-
-void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
-  if (batch.empty()) {
-    return;
-  }
-  if (batch.size() >= dense_drive_threshold()) {
-    // Mirrors SynapseTopology::dense_drive, but through the transposed
-    // apply_dense twin so the accumulator layout stays consistent.
-    aligned_vector<float>& x = dense_scratch(in_size());
-    const std::uint32_t* pre = batch.pre();
-    const float* mag = batch.magnitude();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      TSNN_CHECK_MSG(pre[i] < in_size(), "pre neuron out of range");
-      x[pre[i]] += mag[i];
-    }
-    apply_dense_transposed(x.data(), u);
-    return;
-  }
   // Each accumulator slot is touched at most once per spike, and spikes
-  // stay in batch order, so per-slot addition order matches propagate()
-  // exactly (values are bit-identical up to the layout permutation) -- the
-  // conv_taps kernel contract in simd/kernels.h.
+  // stay in batch order, so every slot receives its m * w contributions in
+  // batch order -- bit-identical to a per-spike scatter (the conv_taps
+  // kernel contract in simd/kernels.h).
   check_batch_bounds(batch, in_size());
   const PropagateCache& c = cache();
   simd::ConvTapCtx ctx;
@@ -400,69 +292,8 @@ void ConvTopology::propagate_accum(const SpikeBatch& batch, float* u) const {
 }
 
 void ConvTopology::apply_dense(const float* x, float* y) const {
-  const float* w = weight_.data();
-  const auto axpy = simd::kernels().axpy;
-  for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-    float* ymap = y + oc * out_h_ * out_w_;
-    for (std::size_t ic = 0; ic < in_ch_; ++ic) {
-      const float* xmap = x + ic * in_h_ * in_w_;
-      const float* wk = w + (oc * in_ch_ + ic) * kernel_ * kernel_;
-      for (std::size_t ky = 0; ky < kernel_; ++ky) {
-        for (std::size_t kx = 0; kx < kernel_; ++kx) {
-          const float wv = wk[ky * kernel_ + kx];
-          if (wv == 0.0f) {
-            continue;
-          }
-          for (std::size_t oy = 0; oy < out_h_; ++oy) {
-            const std::ptrdiff_t iy =
-                static_cast<std::ptrdiff_t>(oy * stride_ + ky) -
-                static_cast<std::ptrdiff_t>(pad_);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h_)) {
-              continue;
-            }
-            const float* xrow = xmap + static_cast<std::size_t>(iy) * in_w_;
-            float* yrow = ymap + oy * out_w_;
-            if (stride_ == 1) {
-              // Unit stride: the valid ox range is one contiguous span, an
-              // axpy (elementwise mul+add -- bit-exact vs the scalar loop).
-              const std::ptrdiff_t shift = static_cast<std::ptrdiff_t>(kx) -
-                                           static_cast<std::ptrdiff_t>(pad_);
-              const std::size_t ox_lo =
-                  shift < 0 ? static_cast<std::size_t>(-shift) : 0;
-              const std::ptrdiff_t hi =
-                  static_cast<std::ptrdiff_t>(in_w_) - shift;
-              const std::size_t ox_hi =
-                  hi < 0 ? 0
-                         : (static_cast<std::size_t>(hi) < out_w_
-                                ? static_cast<std::size_t>(hi)
-                                : out_w_);
-              if (ox_hi > ox_lo) {
-                axpy(yrow + ox_lo,
-                     xrow + static_cast<std::size_t>(
-                                static_cast<std::ptrdiff_t>(ox_lo) + shift),
-                     wv, ox_hi - ox_lo);
-              }
-              continue;
-            }
-            for (std::size_t ox = 0; ox < out_w_; ++ox) {
-              const std::ptrdiff_t ix =
-                  static_cast<std::ptrdiff_t>(ox * stride_ + kx) -
-                  static_cast<std::ptrdiff_t>(pad_);
-              if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w_)) {
-                continue;
-              }
-              yrow[ox] += wv * xrow[static_cast<std::size_t>(ix)];
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void ConvTopology::apply_dense_transposed(const float* x, float* y) const {
-  // Same loop nest and per-element arithmetic as apply_dense(); only the
-  // destination index is the transposed {spatial, channel} slot.
+  // Direct convolution of the canonical {channel, spatial} input into the
+  // transposed {spatial, channel} accumulator.
   const float* w = weight_.data();
   for (std::size_t oc = 0; oc < out_ch_; ++oc) {
     for (std::size_t ic = 0; ic < in_ch_; ++ic) {
@@ -539,17 +370,6 @@ PoolTopology::PoolTopology(std::size_t channels, std::size_t in_h,
   TSNN_CHECK_MSG(kernel_ > 0, "pool kernel must be positive");
   TSNN_CHECK_SHAPE(in_h_ % kernel_ == 0 && in_w_ % kernel_ == 0,
                    "pool extent not divisible by kernel");
-}
-
-void PoolTopology::accumulate(std::size_t pre, float m, float* u) const {
-  TSNN_CHECK_MSG(pre < in_size(), "pre neuron out of range");
-  const std::size_t c = pre / (in_h_ * in_w_);
-  const std::size_t rem = pre % (in_h_ * in_w_);
-  const std::size_t iy = rem / in_w_;
-  const std::size_t ix = rem % in_w_;
-  const std::size_t oy = iy / kernel_;
-  const std::size_t ox = ix / kernel_;
-  u[(c * out_h_ + oy) * out_w_ + ox] += m * weight_;
 }
 
 const std::uint32_t* PoolTopology::post_map() const {

@@ -7,12 +7,12 @@
 // simulator is topology-agnostic and event-driven (cost scales with spike
 // count, not layer size).
 //
-// Two entry points exist: accumulate() applies a single spike and is the
-// readable reference implementation; propagate() applies one timestep's
-// whole SpikeBatch at once through cache-resident kernels (transposed
-// weights for dense, precomputed tap tables for conv, a pre->post map for
-// pooling) and is what the coding schemes' hot loops call. See
-// docs/ARCHITECTURE.md "Hot path & batched propagation".
+// One spike entry point exists: propagate() applies one timestep's whole
+// SpikeBatch through cache-resident kernels (transposed weights for dense,
+// precomputed tap tables for conv, a pre->post map for pooling). Every
+// method that writes potentials -- propagate() and apply_dense() -- writes
+// them in the topology's accum_layout(). See docs/ARCHITECTURE.md
+// "Hot path & batched propagation".
 #pragma once
 
 #include <atomic>
@@ -71,8 +71,8 @@ class SpikeBatch {
   std::vector<float> mag_;
 };
 
-/// Layout of a topology's *internal* potential accumulator, used by the
-/// propagate_accum() hot path. Canonical postsynaptic neuron j lives at
+/// Layout of a topology's potential accumulator, which propagate() and
+/// apply_dense() write. Canonical postsynaptic neuron j lives at
 /// accumulator slot j (identity) or, when `transposed`, at
 /// (j % cols) * rows + j / cols -- e.g. ConvTopology keeps potentials as
 /// {spatial, channel} so its spike kernel runs unit-stride over channels.
@@ -93,31 +93,19 @@ class SynapseTopology {
   virtual std::size_t in_size() const = 0;
   virtual std::size_t out_size() const = 0;
 
-  /// Adds `m`-scaled weights of presynaptic neuron `pre` into `u`
-  /// (length out_size()). Reference implementation of one spike; the hot
-  /// path goes through propagate().
-  virtual void accumulate(std::size_t pre, float m, float* u) const = 0;
-
-  /// Batched entry point: applies every (pre, m) pair of `batch` into `u`
-  /// (length out_size()). Semantically equal to calling accumulate() per
-  /// spike; subclasses override it with cache-resident kernels. Batches at
-  /// or above dense_drive_threshold() may be gathered into a dense input
-  /// vector and served by one apply_dense() pass -- a different summation
-  /// order, so agreement with accumulate() is to float tolerance (~1e-5),
-  /// not bitwise, once the dense drive engages.
-  virtual void propagate(const SpikeBatch& batch, float* u) const;
-
-  /// Layout of the accumulator that propagate_accum() writes into.
+  /// Layout of the accumulator that propagate() and apply_dense() write.
   virtual AccumLayout accum_layout() const { return {}; }
 
-  /// Hot-path variant of propagate(): adds into `u` laid out per
-  /// accum_layout(). Identical to propagate() up to that permutation --
-  /// each accumulator slot receives the same contributions in the same
-  /// order, so values are bit-identical slot for slot. The default (and
-  /// every identity-layout topology) forwards to propagate().
-  virtual void propagate_accum(const SpikeBatch& batch, float* u) const {
-    propagate(batch, u);
-  }
+  /// Applies every (pre, m) pair of `batch` into `u` (length out_size(),
+  /// laid out per accum_layout()) through cache-resident kernels. Below
+  /// dense_drive_threshold() each accumulator slot receives the per-spike
+  /// contributions m * w in batch order, so results are bit-identical to
+  /// a one-spike-at-a-time scatter. Batches at or above the threshold are
+  /// gathered into a dense input vector and served by one apply_dense()
+  /// pass -- a different summation order, so agreement with the per-spike
+  /// scatter is to float tolerance (~1e-5), not bitwise, once the dense
+  /// drive engages. Throws InvalidArgument on a `pre` outside in_size().
+  virtual void propagate(const SpikeBatch& batch, float* u) const = 0;
 
   /// Spike count at which propagate() switches from per-spike scatter to
   /// the dense drive. Scatter costs O(spikes x fanout) while the dense pass
@@ -129,9 +117,8 @@ class SynapseTopology {
     return simd::kernels().policy.dense_drive_threshold(in_size());
   }
 
-  /// Dense reference: y += W x. Used by tests, the activation-transport
-  /// analysis, and the dense drive; must agree with accumulate() summed
-  /// over inputs.
+  /// Dense pass: y += W x, with x canonical and y laid out per
+  /// accum_layout(). Serves propagate()'s dense drive.
   virtual void apply_dense(const float* x, float* y) const = 0;
 
   /// Multiplies every weight by `c` (weight scaling, TTAS C_A folding).
@@ -199,7 +186,6 @@ class DenseTopology : public SynapseTopology {
 
   std::size_t in_size() const override { return weight_.dim(1); }
   std::size_t out_size() const override { return weight_.dim(0); }
-  void accumulate(std::size_t pre, float m, float* u) const override;
   void propagate(const SpikeBatch& batch, float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
@@ -232,15 +218,13 @@ class ConvTopology : public SynapseTopology {
 
   std::size_t in_size() const override;
   std::size_t out_size() const override;
-  void accumulate(std::size_t pre, float m, float* u) const override;
-  void propagate(const SpikeBatch& batch, float* u) const override;
   /// Conv potentials live transposed as {spatial, channel}: the spike
   /// kernel's inner loop becomes a unit-stride multiply-add over channels
   /// (SIMD-friendly) instead of a scatter across {channel, spatial}.
   AccumLayout accum_layout() const override {
     return AccumLayout{out_ch_, out_h_ * out_w_, true};
   }
-  void propagate_accum(const SpikeBatch& batch, float* u) const override;
+  void propagate(const SpikeBatch& batch, float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override;
   void map_weights(const std::function<float(float)>& f) override;
@@ -257,24 +241,18 @@ class ConvTopology : public SynapseTopology {
   const WeightBlock& weight_block() const { return weight_; }
 
  private:
-  /// apply_dense() twin writing y in the transposed {spatial, channel}
-  /// accumulator layout; per-element arithmetic and order are identical,
-  /// only the destination addresses differ (keeps the dense drive
-  /// bit-compatible with the canonical path inside propagate_accum()).
-  void apply_dense_transposed(const float* x, float* y) const;
   /// One valid kernel tap of an input spatial position -- the shared
   /// simd::ConvTap shape, so the tap tables feed the conv_taps kernel
   /// without repacking.
   using Tap = simd::ConvTap;
 
-  /// Per-input-position tap tables plus a {ic, oc, k*k} transposed weight
-  /// copy: propagate() walks precomputed (offset, weight-index) entries
-  /// with zero div/mod and zero bounds branches in the inner loops.
-  /// Lazily built (thread-safe), invalidated by weight mutation.
+  /// Per-input-position tap tables plus a {ic, k*k, oc} weight copy:
+  /// propagate() walks precomputed (offset, weight-index) entries with zero
+  /// div/mod and zero bounds branches in the inner loops. Lazily built
+  /// (thread-safe), invalidated by weight mutation.
   struct PropagateCache {
     aligned_vector<std::uint32_t> tap_offset;  // in_h*in_w + 1, CSR offsets
     aligned_vector<Tap> taps;                  // <= k*k per spatial position
-    aligned_vector<float> weight_t;    // [(ic*out_ch + oc)*k*k + wofs]
     aligned_vector<float> weight_acc;  // [(ic*k*k + wofs)*out_ch + oc]
   };
   const PropagateCache& cache() const;
@@ -302,7 +280,6 @@ class PoolTopology : public SynapseTopology {
 
   std::size_t in_size() const override { return channels_ * in_h_ * in_w_; }
   std::size_t out_size() const override { return channels_ * out_h_ * out_w_; }
-  void accumulate(std::size_t pre, float m, float* u) const override;
   void propagate(const SpikeBatch& batch, float* u) const override;
   void apply_dense(const float* x, float* y) const override;
   void scale_weights(float c) override { weight_ *= c; }

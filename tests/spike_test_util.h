@@ -3,8 +3,10 @@
 // events, per-neuron views, one-call scheme helpers on a transient
 // workspace, the reference deletion/jitter loops that the in-place noise
 // models are checked against, the per-neuron burst coding loops that
-// BurstScheme is checked against, and the layer-sequential simulation loop
-// that snn::simulate_into is checked against.
+// BurstScheme is checked against, the layer-sequential simulation loop
+// that snn::simulate_into is checked against, and the per-spike synapse
+// scatter (reference_accumulate) that SynapseTopology::propagate is checked
+// against.
 #pragma once
 
 #include <algorithm>
@@ -13,11 +15,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "snn/coding_base.h"
 #include "snn/event_buffer.h"
 #include "snn/noise_base.h"
 #include "snn/simulator.h"
+#include "snn/topology.h"
 #include "snn/workspace.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -222,7 +226,7 @@ inline EventBuffer reference_burst_encode(const CodingParams& p,
   return out;
 }
 
-/// Canonical neuron -> accumulator slot of `syn`'s propagate_accum layout.
+/// Canonical neuron -> accumulator slot of `syn`'s accum_layout().
 inline std::vector<std::uint32_t> reference_accum_map(
     const SynapseTopology& syn) {
   const AccumLayout l = syn.accum_layout();
@@ -232,6 +236,112 @@ inline std::vector<std::uint32_t> reference_accum_map(
         l.transposed ? (j % l.cols) * l.rows + j / l.cols : j);
   }
   return map;
+}
+
+/// `accum` (syn.out_size() potentials in `syn`'s accum_layout(), as
+/// propagate() and apply_dense() write them) permuted into canonical
+/// {channel, spatial} order. Values are moved, never recomputed, so
+/// bitwise comparisons survive the permutation.
+inline std::vector<float> to_canonical(const SynapseTopology& syn,
+                                       const float* accum) {
+  const std::vector<std::uint32_t> map = reference_accum_map(syn);
+  std::vector<float> out(map.size());
+  for (std::size_t j = 0; j < map.size(); ++j) {
+    out[j] = accum[map[j]];
+  }
+  return out;
+}
+
+/// Batch of a single spike of presynaptic neuron `pre` at magnitude `m`.
+inline SpikeBatch one_spike(std::uint32_t pre, float m) {
+  SpikeBatch batch;
+  batch.add(pre, m);
+  return batch;
+}
+
+/// Per-spike reference synapse: adds `m`-scaled weights of presynaptic
+/// neuron `pre` into `u` (length syn.out_size(), canonical {channel,
+/// spatial} layout), reading Dense, Conv and Pool geometry through their
+/// public accessors. The oracle that propagate()'s kernels are checked
+/// against: below the dense-drive threshold, propagate() of a batch equals
+/// this summed over the batch in order, bitwise, up to to_canonical().
+inline void reference_accumulate(const SynapseTopology& syn, std::size_t pre,
+                                 float m, float* u) {
+  if (const auto* dense = dynamic_cast<const DenseTopology*>(&syn)) {
+    const WeightBlock& weight = dense->weight_block();
+    const std::size_t out = weight.dim(0);
+    const std::size_t in = weight.dim(1);
+    TSNN_CHECK_MSG(pre < in, "pre neuron " << pre << " out of range " << in);
+    const float* w = weight.data() + pre;  // column `pre`, stride `in`
+    for (std::size_t j = 0; j < out; ++j) {
+      u[j] += m * w[j * in];
+    }
+    return;
+  }
+  if (const auto* conv = dynamic_cast<const ConvTopology*>(&syn)) {
+    const WeightBlock& weight = conv->weight_block();
+    const std::size_t out_ch = weight.dim(0);
+    const std::size_t in_ch = weight.dim(1);
+    const std::size_t kernel = weight.dim(2);
+    const std::size_t in_h = conv->in_h();
+    const std::size_t in_w = conv->in_w();
+    const std::size_t out_h = conv->out_h();
+    const std::size_t out_w = conv->out_w();
+    const std::size_t stride = conv->stride();
+    const std::size_t pad = conv->pad();
+    TSNN_CHECK_MSG(pre < syn.in_size(), "pre neuron out of range");
+    const std::size_t ic = pre / (in_h * in_w);
+    const std::size_t rem = pre % (in_h * in_w);
+    const std::size_t iy = rem / in_w;
+    const std::size_t ix = rem % in_w;
+    const float* w = weight.data();
+    // Output positions receiving from (iy, ix): oy*stride + ky - pad == iy.
+    for (std::size_t ky = 0; ky < kernel; ++ky) {
+      const std::ptrdiff_t num_y =
+          static_cast<std::ptrdiff_t>(iy + pad) - static_cast<std::ptrdiff_t>(ky);
+      if (num_y < 0 || num_y % static_cast<std::ptrdiff_t>(stride) != 0) {
+        continue;
+      }
+      const std::size_t oy = static_cast<std::size_t>(num_y) / stride;
+      if (oy >= out_h) {
+        continue;
+      }
+      for (std::size_t kx = 0; kx < kernel; ++kx) {
+        const std::ptrdiff_t num_x =
+            static_cast<std::ptrdiff_t>(ix + pad) - static_cast<std::ptrdiff_t>(kx);
+        if (num_x < 0 || num_x % static_cast<std::ptrdiff_t>(stride) != 0) {
+          continue;
+        }
+        const std::size_t ox = static_cast<std::size_t>(num_x) / stride;
+        if (ox >= out_w) {
+          continue;
+        }
+        const std::size_t spatial = oy * out_w + ox;
+        for (std::size_t oc = 0; oc < out_ch; ++oc) {
+          const float wv = w[((oc * in_ch + ic) * kernel + ky) * kernel + kx];
+          u[oc * out_h * out_w + spatial] += m * wv;
+        }
+      }
+    }
+    return;
+  }
+  if (const auto* pool = dynamic_cast<const PoolTopology*>(&syn)) {
+    const std::size_t in_h = pool->in_h();
+    const std::size_t in_w = pool->in_w();
+    const std::size_t kernel = pool->kernel();
+    const std::size_t out_h = in_h / kernel;
+    const std::size_t out_w = in_w / kernel;
+    TSNN_CHECK_MSG(pre < syn.in_size(), "pre neuron out of range");
+    const std::size_t c = pre / (in_h * in_w);
+    const std::size_t rem = pre % (in_h * in_w);
+    const std::size_t iy = rem / in_w;
+    const std::size_t ix = rem % in_w;
+    const std::size_t oy = iy / kernel;
+    const std::size_t ox = ix / kernel;
+    u[(c * out_h + oy) * out_w + ox] += m * pool->pool_weight();
+    return;
+  }
+  TSNN_CHECK_MSG(false, "reference_accumulate: unknown topology");
 }
 
 /// Receiver-side ISI decoder of one burst train: one arrival batch per
@@ -280,7 +390,7 @@ inline EventBuffer reference_burst_layer(const CodingParams& p,
   out.reset(out_n, p.window);
   for (std::size_t t = 0; t < p.window; ++t) {
     if (t < in.window()) {
-      syn.propagate_accum(decoder.arrivals(in, t), u.data());
+      syn.propagate(decoder.arrivals(in, t), u.data());
     }
     for (std::size_t j = 0; j < out_n; ++j) {
       const float quantum = p.threshold * reference_burst_gain(p, k[j]);
@@ -309,7 +419,7 @@ inline Tensor reference_burst_readout(const CodingParams& p,
   std::vector<float> u(syn.out_size(), 0.0f);
   ReferenceBurstDecoder decoder(p, in.num_neurons(), role);
   for (std::size_t t = 0; t < in.window(); ++t) {
-    syn.propagate_accum(decoder.arrivals(in, t), u.data());
+    syn.propagate(decoder.arrivals(in, t), u.data());
   }
   Tensor logits{Shape{syn.out_size()}};
   for (std::size_t j = 0; j < umap.size(); ++j) {

@@ -11,6 +11,7 @@
 #include "dnn/trainer.h"
 #include "dnn/vgg.h"
 #include "snn/simulator.h"
+#include "spike_test_util.h"
 #include "tensor/tensor_ops.h"
 
 namespace tsnn::convert {
@@ -123,6 +124,8 @@ TEST(Converter, PoolStagePreservesScale) {
 TEST(Converter, NormalizedActivationsAreBounded) {
   // Transport the calibration activations through the converted synapses
   // densely (no spiking) and verify normalized ReLU activations stay ~<= 1.
+  // apply_dense() writes each stage's accumulator layout; the next stage
+  // reads canonical input.
   auto& f = fixture();
   const std::vector<Tensor> calib(f.images.begin(), f.images.begin() + 30);
   const Conversion conv = convert(f.net, calib);
@@ -130,8 +133,9 @@ TEST(Converter, NormalizedActivationsAreBounded) {
     std::vector<float> act(image.data(), image.data() + image.numel());
     for (std::size_t s = 0; s + 1 < conv.model.num_stages(); ++s) {
       const auto& syn = *conv.model.stage(s).synapse;
-      std::vector<float> next(syn.out_size(), 0.0f);
-      syn.apply_dense(act.data(), next.data());
+      std::vector<float> accum(syn.out_size(), 0.0f);
+      syn.apply_dense(act.data(), accum.data());
+      std::vector<float> next = snn::test::to_canonical(syn, accum.data());
       for (float& v : next) {
         v = std::max(v, 0.0f);  // ReLU
         EXPECT_LE(v, 1.35f);    // normalized scale (p99.9 allows a small tail)

@@ -8,11 +8,13 @@
 #include "core/ttas.h"
 #include "noise/noise.h"
 #include "snn/topology.h"
+#include "spike_test_util.h"
 
 namespace tsnn::core {
 namespace {
 
 using snn::Coding;
+using snn::test::one_spike;
 
 /// A hand-built two-stage model: identity 4->4 then a 2-class readout that
 /// sums the first/last two inputs.
@@ -146,11 +148,11 @@ TEST(Pipeline, WeightScalingAppliedToModelCopy) {
   cfg.assumed_deletion_p = 0.5;
   NoiseRobustPipeline pipe(base, cfg);
   std::vector<float> u(4, 0.0f);
-  pipe.model().stage(0).synapse->accumulate(0, 1.0f, u.data());
+  pipe.model().stage(0).synapse->propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 2.0f);  // C = 2 applied
   // The caller's model is untouched.
   u.assign(4, 0.0f);
-  base.stage(0).synapse->accumulate(0, 1.0f, u.data());
+  base.stage(0).synapse->propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 1.0f);
 }
 

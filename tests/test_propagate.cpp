@@ -1,15 +1,19 @@
 // Property-style equivalence suite for the batched spike-propagation
 // engine: SynapseTopology::propagate() must agree with the per-spike
-// accumulate() reference and with one apply_dense() pass over the gathered
-// batch, for dense, conv (stride/pad variants), and pooling topologies, on
-// both sides of the sparse<->dense-drive threshold.
+// test::reference_accumulate() oracle and with one apply_dense() pass over
+// the gathered batch, for dense, conv (stride/pad variants), and pooling
+// topologies, on both sides of the sparse<->dense-drive threshold. Both
+// library paths write the topology's accum_layout(); every comparison goes
+// through test::to_canonical(), a pure permutation, so bitwise checks stay
+// bitwise: below the threshold propagate() equals the oracle exactly.
 //
 // The whole suite then re-runs once per runnable SIMD dispatch table
-// (PropagateIsa/* below), and a cross-ISA matrix pins every vector variant
-// to the scalar reference on randomized shapes: bit-exact on the scatter
-// paths, <= 1e-5 on the reordered-summation dense drive. TSNN_CPUFLAGS
-// narrows which tables exist, so the CI scalar-forced leg runs the same
-// tests with only the reference table.
+// (PropagateIsa/* below), so the dense_scatter and conv_taps kernels meet
+// the oracle under every table, and a cross-ISA matrix pins every vector
+// variant to the scalar reference on randomized shapes: bit-exact on the
+// scatter paths, <= 1e-5 on the reordered-summation dense drive.
+// TSNN_CPUFLAGS narrows which tables exist, so the CI scalar-forced leg
+// runs the same tests with only the reference table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,9 +24,13 @@
 #include "common/rng.h"
 #include "simd/kernels.h"
 #include "snn/topology.h"
+#include "spike_test_util.h"
 
 namespace tsnn::snn {
 namespace {
+
+using test::reference_accumulate;
+using test::to_canonical;
 
 Tensor random_tensor(const Shape& shape, std::uint64_t seed) {
   Tensor t{shape};
@@ -55,30 +63,72 @@ SpikeBatch random_batch(std::size_t in_size, std::size_t count,
   return batch;
 }
 
-/// Core property: propagate == sum of accumulate == apply_dense(gather)
-/// within 1e-5 (plus a small relative cushion for large partial sums).
-void expect_equivalent(const SynapseTopology& syn, const SpikeBatch& batch) {
-  const std::size_t out = syn.out_size();
-  std::vector<float> via_batch(out, 0.0f);
-  syn.propagate(batch, via_batch.data());
-
-  std::vector<float> via_events(out, 0.0f);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    syn.accumulate(batch.pre()[i], batch.magnitude()[i], via_events.data());
-  }
-
+/// Batch gathered into a dense input vector (duplicates summing, in batch
+/// order -- the dense drive's own gather).
+std::vector<float> gather(const SynapseTopology& syn, const SpikeBatch& batch) {
   std::vector<float> x(syn.in_size(), 0.0f);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     x[batch.pre()[i]] += batch.magnitude()[i];
   }
-  std::vector<float> via_dense(out, 0.0f);
-  syn.apply_dense(x.data(), via_dense.data());
+  return x;
+}
 
+/// Core property: propagate == sum of reference_accumulate ==
+/// apply_dense(gather) within 1e-5 (plus a small relative cushion for large
+/// partial sums), and bitwise equal to the oracle below the dense-drive
+/// threshold.
+void expect_equivalent(const SynapseTopology& syn, const SpikeBatch& batch) {
+  const std::size_t out = syn.out_size();
+  std::vector<float> accum(out, 0.0f);
+  syn.propagate(batch, accum.data());
+  const std::vector<float> via_batch = to_canonical(syn, accum.data());
+
+  std::vector<float> via_events(out, 0.0f);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    reference_accumulate(syn, batch.pre()[i], batch.magnitude()[i],
+                         via_events.data());
+  }
+
+  const std::vector<float> x = gather(syn, batch);
+  std::vector<float> dense_accum(out, 0.0f);
+  syn.apply_dense(x.data(), dense_accum.data());
+  const std::vector<float> via_dense = to_canonical(syn, dense_accum.data());
+
+  if (batch.size() < syn.dense_drive_threshold()) {
+    EXPECT_EQ(via_batch, via_events) << "sparse path, batch " << batch.size();
+  }
   for (std::size_t j = 0; j < out; ++j) {
     const float tol = 1e-5f + 1e-6f * std::fabs(via_events[j]);
     EXPECT_NEAR(via_batch[j], via_events[j], tol) << "vs events, out " << j;
     EXPECT_NEAR(via_batch[j], via_dense[j], tol) << "vs dense, out " << j;
   }
+}
+
+/// Out-of-range `pre` throws InvalidArgument on the sparse branch (one bad
+/// id after a valid one) and on the dense-drive branch (a threshold-sized
+/// batch whose last id is bad). A later valid batch of the same size still
+/// meets the core property: a rejected batch leaves no residue in the
+/// dense drive's scratch.
+void expect_out_of_range_throws(const SynapseTopology& syn,
+                                std::uint64_t seed) {
+  const auto bad = static_cast<std::uint32_t>(syn.in_size());
+  std::vector<float> u(syn.out_size(), 0.0f);
+  SpikeBatch sparse;
+  sparse.add(0, 1.0f);
+  sparse.add(bad, 1.0f);
+  ASSERT_LT(sparse.size(), syn.dense_drive_threshold());
+  EXPECT_THROW(syn.propagate(sparse, u.data()), InvalidArgument);
+
+  const SpikeBatch valid =
+      random_batch(syn.in_size(), syn.dense_drive_threshold(), seed);
+  SpikeBatch dense;
+  for (std::size_t i = 0; i + 1 < valid.size(); ++i) {
+    dense.add(valid.pre()[i], valid.magnitude()[i]);
+  }
+  dense.add(bad, 1.0f);
+  EXPECT_THROW(syn.propagate(dense, u.data()), InvalidArgument);
+
+  expect_equivalent(syn, valid);
 }
 
 /// Exercises both sides of the density threshold plus a duplicate-heavy
@@ -122,6 +172,19 @@ TEST(Propagate, DenseOutOfRangeThrows) {
   batch.add(6, 1.0f);
   std::vector<float> u(4, 0.0f);
   EXPECT_THROW(syn.propagate(batch, u.data()), InvalidArgument);
+  expect_out_of_range_throws(syn, 62);
+}
+
+TEST(Propagate, ConvOutOfRangeThrows) {
+  ConvTopology syn(random_tensor(Shape{3, 2, 3, 3}, 63), 5, 5, 1, 1);
+  expect_out_of_range_throws(syn, 64);
+}
+
+TEST(Propagate, PoolOutOfRangeThrows) {
+  // Pool has no dense drive: the threshold-sized batch runs the same
+  // O(1)-per-spike scatter, which must still reject the bad id.
+  PoolTopology syn(2, 4, 4, 2);
+  expect_out_of_range_throws(syn, 65);
 }
 
 TEST(Propagate, DenseScaleWeightsInvalidatesTransposedCache) {
@@ -215,64 +278,66 @@ TEST(Propagate, PoolDuplicatesSum) {
   EXPECT_FLOAT_EQ(u[0], 4.0f * syn.pool_weight());  // (1+1+2) into cell 0
 }
 
-TEST(Propagate, SparsePathMatchesAccumulateBitwise) {
-  // Below the threshold the dense/conv kernels replay accumulate()'s exact
-  // adds (same values, same order) through transposed copies, so results
-  // are bit-identical -- the engine swap cannot move logits on sparse steps.
+TEST(Propagate, SparsePathMatchesReferenceBitwise) {
+  // Below the threshold the dense/conv/pool kernels replay the per-spike
+  // reference's exact adds (same values, same order) through cached weight
+  // copies, so results are bit-identical up to the layout permutation --
+  // the engine cannot move logits on sparse steps.
   DenseTopology dense(random_tensor(Shape{17, 29}, 24));
-  const SpikeBatch db = random_batch(29, 5, 25);
-  std::vector<float> a(17, 0.0f), b(17, 0.0f);
-  dense.propagate(db, a.data());
-  for (std::size_t i = 0; i < db.size(); ++i) {
-    dense.accumulate(db.pre()[i], db.magnitude()[i], b.data());
-  }
-  EXPECT_EQ(a, b);
-
   ConvTopology conv(random_tensor(Shape{3, 2, 3, 3}, 26), 7, 7, 1, 1);
-  const SpikeBatch cb = random_batch(conv.in_size(), 6, 27);
-  std::vector<float> ca(conv.out_size(), 0.0f), cbv(conv.out_size(), 0.0f);
-  conv.propagate(cb, ca.data());
-  for (std::size_t i = 0; i < cb.size(); ++i) {
-    conv.accumulate(cb.pre()[i], cb.magnitude()[i], cbv.data());
+  PoolTopology pool(2, 6, 6, 3);
+  for (const SynapseTopology* syn :
+       {static_cast<const SynapseTopology*>(&dense),
+        static_cast<const SynapseTopology*>(&conv),
+        static_cast<const SynapseTopology*>(&pool)}) {
+    const SpikeBatch batch = random_batch(syn->in_size(), 6, 27);
+    std::vector<float> accum(syn->out_size(), 0.0f);
+    syn->propagate(batch, accum.data());
+    std::vector<float> reference(syn->out_size(), 0.0f);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      reference_accumulate(*syn, batch.pre()[i], batch.magnitude()[i],
+                           reference.data());
+    }
+    EXPECT_EQ(to_canonical(*syn, accum.data()), reference);
   }
-  EXPECT_EQ(ca, cbv);
-}
-
-/// Maps canonical postsynaptic index j to its accum_layout() slot.
-std::size_t accum_slot(const AccumLayout& l, std::size_t j) {
-  return l.transposed ? (j % l.cols) * l.rows + j / l.cols : j;
 }
 
 TEST(Propagate, AccumIsBitIdenticalUpToLayoutPermutation) {
-  // propagate_accum() is propagate() writing into the topology's internal
-  // accumulator layout: slot for slot, the same contributions in the same
-  // order, so equality is exact (==), not approximate -- on both sides of
-  // the dense-drive threshold.
+  // propagate() and apply_dense() write the topology's accumulator layout.
+  // Conv's is transposed {spatial, channel}; through that permutation the
+  // sparse path equals the per-spike oracle and the dense drive equals one
+  // apply_dense() over the gathered batch, exactly (==), on both sides of
+  // the threshold.
   ConvTopology conv(random_tensor(Shape{4, 3, 3, 3}, 50), 6, 6, 1, 1);
   const AccumLayout layout = conv.accum_layout();
   EXPECT_TRUE(layout.transposed);
-  EXPECT_EQ(layout.rows * layout.cols, conv.out_size());
+  EXPECT_EQ(layout.rows, 4u);
+  EXPECT_EQ(layout.cols, conv.out_h() * conv.out_w());
   for (const std::size_t count :
        {std::size_t{5}, conv.dense_drive_threshold(), conv.in_size()}) {
     const SpikeBatch batch = random_batch(conv.in_size(), count, 51 + count);
-    std::vector<float> canonical(conv.out_size(), 0.0f);
     std::vector<float> accum(conv.out_size(), 0.0f);
-    conv.propagate(batch, canonical.data());
-    conv.propagate_accum(batch, accum.data());
-    for (std::size_t j = 0; j < conv.out_size(); ++j) {
-      EXPECT_EQ(canonical[j], accum[accum_slot(layout, j)])
-          << "batch " << count << " out " << j;
+    conv.propagate(batch, accum.data());
+    std::vector<float> canonical(conv.out_size(), 0.0f);
+    if (count < conv.dense_drive_threshold()) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        reference_accumulate(conv, batch.pre()[i], batch.magnitude()[i],
+                             canonical.data());
+      }
+    } else {
+      std::vector<float> dense_accum(conv.out_size(), 0.0f);
+      const std::vector<float> x = gather(conv, batch);
+      conv.apply_dense(x.data(), dense_accum.data());
+      canonical = to_canonical(conv, dense_accum.data());
     }
+    EXPECT_EQ(to_canonical(conv, accum.data()), canonical) << "batch " << count;
   }
 
-  // Identity-layout topologies: propagate_accum is propagate verbatim.
-  DenseTopology dense(random_tensor(Shape{9, 14}, 60));
-  EXPECT_FALSE(dense.accum_layout().transposed);
-  const SpikeBatch db = random_batch(14, 4, 61);
-  std::vector<float> a(9, 0.0f), b(9, 0.0f);
-  dense.propagate(db, a.data());
-  dense.propagate_accum(db, b.data());
-  EXPECT_EQ(a, b);
+  // Identity-layout topologies: the accumulator is the canonical order.
+  EXPECT_FALSE(DenseTopology(random_tensor(Shape{9, 14}, 60))
+                   .accum_layout()
+                   .transposed);
+  EXPECT_FALSE(PoolTopology(1, 4, 4, 2).accum_layout().transposed);
 }
 
 TEST(Propagate, RandomizedShapeSweep) {
@@ -299,10 +364,10 @@ TEST(Propagate, RandomizedShapeSweep) {
 
 // --- Per-ISA equivalence matrix ------------------------------------------
 //
-// Every runnable dispatch table must satisfy the same propagate/accumulate/
+// Every runnable dispatch table must satisfy the same propagate/oracle/
 // apply_dense property as the default, and every vector variant must match
 // the scalar reference output for output: bit-exact where the kernel
-// contract promises it (per-spike scatter, conv taps, accum layouts),
+// contract promises it (per-spike scatter, conv taps),
 // within 1e-5 where summation order legitimately differs (dense drive /
 // matvec, FMA variants). Shapes are randomized with odd sizes so vector
 // tails and remainder lanes are always exercised.
@@ -364,16 +429,6 @@ TEST_P(PropagateIsa, SparseScatterBitExactVsScalar) {
       }
       syn->propagate(batch, isa_u.data());
       EXPECT_EQ(scalar_u, isa_u) << GetParam()->isa << " seed " << seed;
-
-      // propagate_accum shares the same exactness contract.
-      std::vector<float> scalar_acc(syn->out_size(), 0.0f);
-      std::vector<float> isa_acc(syn->out_size(), 0.0f);
-      {
-        simd::ScopedKernelOverride scalar(simd::scalar_kernels());
-        syn->propagate_accum(batch, scalar_acc.data());
-      }
-      syn->propagate_accum(batch, isa_acc.data());
-      EXPECT_EQ(scalar_acc, isa_acc) << GetParam()->isa << " seed " << seed;
     }
   }
 }

@@ -8,10 +8,13 @@
 #include "noise/static_noise.h"
 #include "snn/simulator.h"
 #include "snn/topology.h"
+#include "spike_test_util.h"
 #include "tensor/tensor_ops.h"
 
 namespace tsnn::noise {
 namespace {
+
+using snn::test::one_spike;
 
 snn::SnnModel tiny_model() {
   snn::SnnModel model(Shape{4});
@@ -30,8 +33,8 @@ TEST(StaticNoise, ZeroSigmaIsIdentity) {
   const snn::SnnModel noisy = with_static_noise(base, StaticNoiseConfig{});
   std::vector<float> u_base(4, 0.0f);
   std::vector<float> u_noisy(4, 0.0f);
-  base.stage(0).synapse->accumulate(0, 1.0f, u_base.data());
-  noisy.stage(0).synapse->accumulate(0, 1.0f, u_noisy.data());
+  base.stage(0).synapse->propagate(one_spike(0, 1.0f), u_base.data());
+  noisy.stage(0).synapse->propagate(one_spike(0, 1.0f), u_noisy.data());
   EXPECT_EQ(u_base, u_noisy);
 }
 
@@ -47,7 +50,7 @@ TEST(StaticNoise, WeightSigmaPerturbsWithoutBias) {
     cfg.seed = static_cast<std::uint64_t>(i + 1);
     const snn::SnnModel noisy = with_static_noise(base, cfg);
     std::vector<float> u(4, 0.0f);
-    noisy.stage(0).synapse->accumulate(0, 1.0f, u.data());
+    noisy.stage(0).synapse->propagate(one_spike(0, 1.0f), u.data());
     acc += u[0];
   }
   EXPECT_NEAR(acc / trials, 1.0, 0.02);
@@ -62,8 +65,8 @@ TEST(StaticNoise, IsDeterministicPerSeed) {
   const snn::SnnModel b = with_static_noise(base, cfg);
   std::vector<float> ua(4, 0.0f);
   std::vector<float> ub(4, 0.0f);
-  a.stage(0).synapse->accumulate(0, 1.0f, ua.data());
-  b.stage(0).synapse->accumulate(0, 1.0f, ub.data());
+  a.stage(0).synapse->propagate(one_spike(0, 1.0f), ua.data());
+  b.stage(0).synapse->propagate(one_spike(0, 1.0f), ub.data());
   EXPECT_EQ(ua, ub);  // static noise: same pattern every time
 }
 

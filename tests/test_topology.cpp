@@ -1,14 +1,22 @@
-// Tests for synapse topologies: event accumulation must agree exactly with
-// the dense reference, and conv topology must match the DNN conv layer.
+// Tests for synapse topologies: the per-spike reference summed over an
+// input must agree with the dense pass, one-spike propagate() must add the
+// presynaptic column, and conv topology must match the DNN conv layer.
+// apply_dense() and propagate() write the topology's accumulator layout, so
+// comparisons against canonical values go through test::to_canonical().
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "dnn/conv2d.h"
 #include "snn/topology.h"
+#include "spike_test_util.h"
 #include "tensor/tensor_ops.h"
 
 namespace tsnn::snn {
 namespace {
+
+using test::one_spike;
+using test::reference_accumulate;
+using test::to_canonical;
 
 Tensor random_tensor(const Shape& shape, std::uint64_t seed) {
   Tensor t{shape};
@@ -19,17 +27,18 @@ Tensor random_tensor(const Shape& shape, std::uint64_t seed) {
   return t;
 }
 
-/// Property: sum of per-event accumulate() over x equals apply_dense(x).
+/// Property: the per-event reference summed over x equals apply_dense(x).
 void check_event_dense_agreement(const SynapseTopology& syn, std::uint64_t seed) {
   const Tensor x = random_tensor(Shape{syn.in_size()}, seed);
   std::vector<float> via_events(syn.out_size(), 0.0f);
   for (std::size_t i = 0; i < syn.in_size(); ++i) {
     if (x[i] != 0.0f) {
-      syn.accumulate(i, x[i], via_events.data());
+      reference_accumulate(syn, i, x[i], via_events.data());
     }
   }
-  std::vector<float> via_dense(syn.out_size(), 0.0f);
-  syn.apply_dense(x.data(), via_dense.data());
+  std::vector<float> accum(syn.out_size(), 0.0f);
+  syn.apply_dense(x.data(), accum.data());
+  const std::vector<float> via_dense = to_canonical(syn, accum.data());
   for (std::size_t j = 0; j < syn.out_size(); ++j) {
     EXPECT_NEAR(via_events[j], via_dense[j], 1e-4f) << "output " << j;
   }
@@ -42,14 +51,14 @@ TEST(DenseTopology, EventEqualsDense) {
   check_event_dense_agreement(syn, 2);
 }
 
-TEST(DenseTopology, AccumulateSingleColumn) {
+TEST(DenseTopology, OneSpikeAddsItsColumn) {
   Tensor w{Shape{2, 3}, {1, 2, 3, 4, 5, 6}};
   DenseTopology syn(w);
   std::vector<float> u(2, 0.0f);
-  syn.accumulate(1, 2.0f, u.data());
+  syn.propagate(one_spike(1, 2.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 4.0f);
   EXPECT_FLOAT_EQ(u[1], 10.0f);
-  EXPECT_THROW(syn.accumulate(3, 1.0f, u.data()), InvalidArgument);
+  EXPECT_THROW(syn.propagate(one_spike(3, 1.0f), u.data()), InvalidArgument);
 }
 
 TEST(DenseTopology, ScaleWeights) {
@@ -57,7 +66,7 @@ TEST(DenseTopology, ScaleWeights) {
   DenseTopology syn(w);
   syn.scale_weights(3.0f);
   std::vector<float> u(1, 0.0f);
-  syn.accumulate(0, 1.0f, u.data());
+  syn.propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 3.0f);
 }
 
@@ -66,7 +75,7 @@ TEST(DenseTopology, CloneIsDeep) {
   auto copy = syn.clone();
   copy->scale_weights(5.0f);
   std::vector<float> u(1, 0.0f);
-  syn.accumulate(0, 1.0f, u.data());
+  syn.propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 1.0f);  // original untouched
 }
 
@@ -94,8 +103,9 @@ TEST(ConvTopology, MatchesDnnConvForward) {
   const Tensor y_dnn = conv.forward(x, false);
 
   ConvTopology syn(w, 5, 5, 1, 1);
-  std::vector<float> y_snn(syn.out_size(), 0.0f);
-  syn.apply_dense(x.data(), y_snn.data());
+  std::vector<float> accum(syn.out_size(), 0.0f);
+  syn.apply_dense(x.data(), accum.data());
+  const std::vector<float> y_snn = to_canonical(syn, accum.data());
   for (std::size_t i = 0; i < y_dnn.numel(); ++i) {
     EXPECT_NEAR(y_dnn[i], y_snn[i], 1e-4f);
   }
@@ -105,7 +115,7 @@ TEST(ConvTopology, ScaleWeights) {
   ConvTopology syn(Tensor{Shape{1, 1, 1, 1}, {2.0f}}, 2, 2, 1, 0);
   syn.scale_weights(0.5f);
   std::vector<float> u(syn.out_size(), 0.0f);
-  syn.accumulate(0, 1.0f, u.data());
+  syn.propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 1.0f);
 }
 
@@ -140,7 +150,7 @@ TEST(ConvTopology, CloneIndependence) {
   copy->scale_weights(0.0f);
   check_event_dense_agreement(syn, 11);  // original still consistent/nonzero
   std::vector<float> u(copy->out_size(), 0.0f);
-  copy->accumulate(0, 1.0f, u.data());
+  copy->propagate(one_spike(0, 1.0f), u.data());
   for (const float v : u) {
     EXPECT_FLOAT_EQ(v, 0.0f);
   }

@@ -13,6 +13,7 @@ namespace tsnn::core {
 namespace {
 
 using snn::test::corrupted;
+using snn::test::one_spike;
 
 TEST(WeightScaling, FactorRestoresMean) {
   EXPECT_FLOAT_EQ(weight_scaling_factor(0.0), 1.0f);
@@ -44,10 +45,10 @@ TEST(WeightScaling, ScalesAllStages) {
   apply_weight_scaling(model, 0.5);  // C = 2
 
   std::vector<float> u(2, 0.0f);
-  model.stage(0).synapse->accumulate(0, 1.0f, u.data());
+  model.stage(0).synapse->propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 2.0f);
   std::vector<float> v(1, 0.0f);
-  model.stage(1).synapse->accumulate(0, 1.0f, v.data());
+  model.stage(1).synapse->propagate(one_spike(0, 1.0f), v.data());
   EXPECT_FLOAT_EQ(v[0], 2.0f);
 }
 
@@ -58,10 +59,10 @@ TEST(WeightScaling, WithWeightScalingLeavesOriginalUntouched) {
   const snn::SnnModel scaled = with_weight_scaling(model, 0.75);
 
   std::vector<float> u(1, 0.0f);
-  model.stage(0).synapse->accumulate(0, 1.0f, u.data());
+  model.stage(0).synapse->propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 1.0f);
   u[0] = 0.0f;
-  scaled.stage(0).synapse->accumulate(0, 1.0f, u.data());
+  scaled.stage(0).synapse->propagate(one_spike(0, 1.0f), u.data());
   EXPECT_FLOAT_EQ(u[0], 4.0f);
 }
 
