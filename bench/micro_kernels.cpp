@@ -10,8 +10,8 @@
 // row lines up with perfbench's traced stage.*.<stage>.us span and times
 // the conv_taps kernel at that stage's shape.
 //
-// The spike-propagation and burst-fire benches also register one variant
-// per runnable SIMD dispatch table (e.g. BM_ConvSpikePropagate<scalar>/conv1a
+// The spike-propagation, burst-fire and noise benches also register one
+// variant per runnable SIMD dispatch table (e.g. BM_ConvSpikePropagate<scalar>/conv1a
 // next to BM_ConvSpikePropagate<avx2+fma>/conv1a), so one run measures the
 // vector speedup against the forced-scalar reference on identical batches.
 // The active table's dense-drive crossover shows up as the
@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "coding/burst.h"
@@ -305,10 +306,25 @@ void BM_DeletionNoise(benchmark::State& state) {
 }
 BENCHMARK(BM_DeletionNoise);
 
-void BM_JitterNoise(benchmark::State& state) {
-  run_noise_bench(state, *noise::make_jitter(2.0), 9, 10);
+void BM_JitterNoise(benchmark::State& state, double sigma) {
+  run_noise_bench(state, *noise::make_jitter(sigma), 9, 10);
 }
-BENCHMARK(BM_JitterNoise);
+
+/// Registers BM_JitterNoise<suffix>/sigma:<s> for s in {0.5, 1.5, 2, 4},
+/// run through `wrap`: the wider the Gaussian, the more often a rounded
+/// shift lands near a half-integer, so the rows bracket the sweep's sigmas.
+template <typename Wrap>
+void register_jitter_rows(const std::string& suffix, const Wrap& wrap) {
+  for (const double sigma : {0.5, 1.5, 2.0, 4.0}) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "BM_JitterNoise%s/sigma:%g",
+                  suffix.c_str(), sigma);
+    benchmark::RegisterBenchmark(
+        name, wrap([sigma](benchmark::State& state) {
+          BM_JitterNoise(state, sigma);
+        }));
+  }
+}
 
 /// Registers BM_ConvSpikePropagate<suffix>/<stage> for every zoo conv
 /// stage, run through `wrap`.
@@ -323,8 +339,8 @@ void register_conv_rows(const std::string& suffix, const Wrap& wrap) {
   }
 }
 
-/// Registers one copy of the spike-propagation and burst-fire benches per
-/// runnable dispatch table, each pinned via ScopedKernelOverride for the
+/// Registers one copy of the spike-propagation, burst-fire and noise
+/// benches per runnable dispatch table, each pinned via ScopedKernelOverride for the
 /// duration of its run -- BM_ConvSpikePropagate<scalar>/conv1a next to
 /// BM_ConvSpikePropagate<avx2+fma>/conv1a is the vector-vs-reference
 /// speedup on identical work. Only registered when more than one table is
@@ -357,6 +373,9 @@ void register_isa_variants() {
         ->ArgNames({"ch", "hw"})
         ->Args({8, 256})
         ->Args({48, 1});
+    register_jitter_rows(suffix, pinned);
+    benchmark::RegisterBenchmark(("BM_DeletionNoise" + suffix).c_str(),
+                                 pinned(BM_DeletionNoise));
   }
 }
 
@@ -365,6 +384,7 @@ void register_isa_variants() {
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("isa", tsnn::simd::active_isa());
   register_conv_rows("", [](auto bench) { return bench; });
+  register_jitter_rows("", [](auto bench) { return bench; });
   register_isa_variants();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

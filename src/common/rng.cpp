@@ -22,6 +22,24 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// One xoshiro256** step on `s`.
+inline std::uint64_t next_word(std::uint64_t* s) {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// 53 random mantissa bits -> uniform in [0, 1).
+double unit_from_word(std::uint64_t w) {
+  return static_cast<double>(w >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -31,22 +49,19 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
+Rng::result_type Rng::operator()() { return next_word(state_); }
+
+void Rng::fill(result_type* out, std::size_t n) {
+  std::uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = next_word(s);
+  }
+  for (int k = 0; k < 4; ++k) {
+    state_[k] = s[k];
+  }
 }
 
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit_from_word((*this)()); }
 
 double Rng::uniform(double lo, double hi) {
   TSNN_CHECK_MSG(lo <= hi, "uniform bounds inverted: [" << lo << ", " << hi << ")");
@@ -76,17 +91,24 @@ double Rng::normal() {
     has_cached_normal_ = false;
     return cached_normal_;
   }
-  // Box-Muller; avoid log(0) by nudging u1 away from zero.
-  double u1 = uniform();
+  const result_type w1 = (*this)();
+  const result_type w2 = (*this)();
+  const NormalPair z = box_muller(w1, w2);
+  cached_normal_ = z.second;
+  has_cached_normal_ = true;
+  return z.first;
+}
+
+Rng::NormalPair Rng::box_muller(result_type w1, result_type w2) {
+  // Avoid log(0) by nudging u1 away from zero.
+  double u1 = unit_from_word(w1);
   if (u1 < 1e-300) {
     u1 = 1e-300;
   }
-  const double u2 = uniform();
+  const double u2 = unit_from_word(w2);
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = radius * std::sin(theta);
-  has_cached_normal_ = true;
-  return radius * std::cos(theta);
+  return {radius * std::cos(theta), radius * std::sin(theta)};
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -97,6 +119,13 @@ double Rng::normal(double mean, double stddev) {
 bool Rng::bernoulli(double p) {
   TSNN_CHECK_MSG(p >= 0.0 && p <= 1.0, "bernoulli p out of [0,1]: " << p);
   return uniform() < p;
+}
+
+std::uint64_t Rng::bernoulli_threshold(double p) {
+  TSNN_CHECK_MSG(p >= 0.0 && p <= 1.0, "bernoulli p out of [0,1]: " << p);
+  // uniform() < p  <=>  x * 2^-53 < p  <=>  x < p * 2^53 (both scalings by
+  // 2^53 are exact)  <=>  x < ceil(p * 2^53) for the integer x = w >> 11.
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 Rng Rng::split() {

@@ -57,7 +57,13 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
+  /// Fills out[0..n) with the next n raw values: exactly n operator()
+  /// calls, in order, without a call per word.
+  void fill(result_type* out, std::size_t n);
+
   /// Standard normal via Box-Muller (deterministic, platform-independent).
+  /// Draws come in pairs: a call with no cached value draws two raw words,
+  /// returns box_muller(...).first and caches .second for the next call.
   double normal();
 
   /// Normal with the given mean and standard deviation.
@@ -65,6 +71,26 @@ class Rng {
 
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p);
+
+  /// One Box-Muller pair from the two raw words normal() draws for it, in
+  /// draw order: u1 = (w1 >> 11) * 2^-53 (clamped to 1e-300 when zero),
+  /// u2 = (w2 >> 11) * 2^-53, r = sqrt(-2 log u1), theta = 2 pi u2.
+  /// `first` = r cos theta is what normal() returns, `second` = r sin theta
+  /// what it caches. The one compiled definition of that expression:
+  /// normal() and the exact path of simd jitter_shifts both call it.
+  struct NormalPair {
+    double first;
+    double second;
+  };
+  static NormalPair box_muller(result_type w1, result_type w2);
+
+  /// True when the next normal() returns a cached value without drawing.
+  bool has_cached_normal() const { return has_cached_normal_; }
+
+  /// The raw-word form of bernoulli(p) for p in [0, 1]: bernoulli(p) draws
+  /// one word w and returns exactly (w >> 11) < bernoulli_threshold(p),
+  /// with threshold ceil(p * 2^53) (so p == 1 gives 2^53, always true).
+  static std::uint64_t bernoulli_threshold(double p);
 
   /// Derives an independent child generator; useful for giving each
   /// subsystem its own stream that does not perturb the others.

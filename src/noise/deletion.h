@@ -11,7 +11,8 @@ class DeletionNoise : public snn::NoiseModel {
  public:
   explicit DeletionNoise(double p);
 
-  /// In-place stream compaction: one Bernoulli draw per event, time-major.
+  /// In-place stream compaction: one Bernoulli draw per event, time-major,
+  /// made as a raw-word compare against Rng::bernoulli_threshold(p).
   void apply_inplace(snn::EventBuffer& events, snn::EventSortScratch& scratch,
                      Rng& rng) const override;
   std::string name() const override;
@@ -20,6 +21,7 @@ class DeletionNoise : public snn::NoiseModel {
 
  private:
   double p_;
+  std::uint64_t threshold_;  ///< Rng::bernoulli_threshold(p_)
 };
 
 }  // namespace tsnn::noise

@@ -2,7 +2,8 @@
 //
 // The hot inner loops of the simulator -- dense fan-out scatter, conv tap
 // accumulate, the potential/threshold scan, burst coding's escalating
-// firing scan, and the in-place noise compaction -- plus the dense-drive
+// firing scan, the in-place noise compaction and the jitter noise's
+// Gaussian shifts -- plus the dense-drive
 // matvec and the axpy building block are leaf functions behind a
 // KernelDispatch table of function pointers, the FFmpeg DSP-table idiom:
 // callers marshal their state into a plain KernelCtx view and invoke
@@ -21,6 +22,9 @@
 // summation order (and FMA in the avx2+fma table), agreeing with the
 // reference to ~1e-5 relative; it backs the dense-drive path, whose
 // tolerance contract predates this layer (see SynapseTopology::propagate).
+// jitter_shifts outputs integers: a vector table approximates the Gaussian
+// in double precision and certifies each rounded integer against the exact
+// path's (Ziv's rounding test), recomputing exactly what it cannot certify.
 // The simd translation units are compiled with -ffp-contract=off so the
 // "scalar" semantics stay scalar under any -march.
 //
@@ -121,6 +125,23 @@ struct BurstFireCtx {
   std::uint32_t* fired = nullptr;
 };
 
+/// Spike-jitter shifts from raw generator words: pair i is the two words
+/// Rng::normal draws for one Box-Muller pair, words[2i] (u1) then
+/// words[2i+1] (u2), and the kernel writes
+///   shift[2i]     = lround(sigma * Rng::box_muller(...).first)
+///   shift[2i + 1] = lround(sigma * Rng::box_muller(...).second)
+/// -- exactly the integers lround(rng.normal(0, sigma)) gives for those two
+/// draws. Returns how many pairs went through that exact expression; a
+/// vector table computes the rest with its own approximation and keeps an
+/// integer only when Ziv's rounding test certifies it (see
+/// docs/ARCHITECTURE.md, "RNG draw-order compatibility guarantee").
+struct JitterCtx {
+  const std::uint64_t* words = nullptr;  ///< 2 * pairs raw words, draw order
+  std::size_t pairs = 0;
+  double sigma = 0.0;                    ///< finite, >= 0
+  std::int64_t* shift = nullptr;         ///< 2 * pairs outputs
+};
+
 // ------------------------------------------------------- dispatch table ----
 
 /// Tunables that ride on the dispatch table so they can differ per ISA.
@@ -160,6 +181,8 @@ struct KernelDispatch {
   std::size_t (*mask_compact)(const std::uint32_t* src,
                               const std::uint8_t* keep, std::size_t n,
                               std::uint32_t* dst) = nullptr;
+  /// Gaussian spike-jitter shifts; bit-exact (see JitterCtx).
+  std::size_t (*jitter_shifts)(const JitterCtx&) = nullptr;
 };
 
 /// The active table: the highest-priority registered table whose features

@@ -8,7 +8,9 @@
 // destination slots -- so each slot still receives its contributions in
 // batch order, as one mul and one add. No _mm256_fmadd_ps outside the
 // avx2+fma dense_matvec, and -ffp-contract=off keeps the compiler from
-// contracting the scalar tails.
+// contracting the scalar tails. jitter_shifts is the one kernel that is
+// exact by certification instead: its doubles are approximations, and only
+// integers the rounding test proves equal to the exact path's leave it.
 #include "simd/kernels_internal.h"
 
 #if defined(TSNN_SIMD_AVX2) && defined(__AVX2__)
@@ -16,6 +18,7 @@
 #include <immintrin.h>
 
 #include <array>
+#include <numbers>
 
 #include "common/cpu.h"
 
@@ -326,6 +329,214 @@ std::size_t av_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
   return k;
 }
 
+// ------------------------------------------------------- jitter shifts ----
+
+// Four Box-Muller pairs per iteration in double precision, with a
+// self-contained log, sqrt and sincos (no libm, no libmvec):
+//   log u1    exponent/mantissa split, log m = 2 atanh((m-1)/(m+1)) as an
+//             odd series through s^19 for m in [sqrt(1/2), sqrt(2)];
+//   sqrt      _mm256_sqrt_pd (correctly rounded);
+//   sincos    theta = 2 pi u2 as the scalar path computes it, a three-part
+//             Cody-Waite reduction by pi/2 and Taylor polynomials through
+//             y^15 (sin) and y^16 (cos) on |y| <= pi/4.
+// Their combined error in v = sigma r cos|sin theta against the exact
+// path's value is below eps = 2^-46 * sigma r (bound and measurement in
+// docs/ARCHITECTURE.md). Ziv's rounding test keeps lround(v) only when v is
+// more than delta = 2^-36 * sigma r + 2^-40 from a half-integer, so the
+// exact value rounds the same way; every other pair -- and any pair with
+// u1 == 0 (the 1e-300 clamp) or sigma r >= 2^30 -- is recomputed by the
+// exact scalar path, as are the last 1-3 pairs of a block. The avx2 table
+// evaluates the polynomials with mul+add, the avx2+fma table with FMA; the
+// bound covers both.
+
+template <bool kFma>
+inline __m256d madd(__m256d a, __m256d b, __m256d c) {
+  if constexpr (kFma) {
+    return _mm256_fmadd_pd(a, b, c);
+  } else {
+    return _mm256_add_pd(_mm256_mul_pd(a, b), c);
+  }
+}
+
+/// Exact uint64 -> double for values below 2^53: the high 21 and low 32
+/// bits each go through the 2^52 mantissa trick, and their sum is exact.
+inline __m256d u53_to_pd(__m256i x) {
+  const __m256i two52_bits = _mm256_set1_epi64x(0x4330000000000000LL);
+  const __m256d two52 = _mm256_set1_pd(0x1.0p52);
+  const __m256d lo = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_and_si256(x, _mm256_set1_epi64x(0xFFFFFFFFLL)), two52_bits)),
+      two52);
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(_mm256_srli_epi64(x, 32), two52_bits)),
+      two52);
+  return _mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1.0p32)), lo);
+}
+
+/// Natural log of x in [2^-53, 1).
+template <bool kFma>
+inline __m256d log_unit(__m256d x) {
+  const __m256i bits = _mm256_castpd_si256(x);
+  const __m256d m1 = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
+      _mm256_set1_epi64x(0x3FF0000000000000LL)));  // mantissa in [1, 2)
+  const __m256d big =
+      _mm256_cmp_pd(m1, _mm256_set1_pd(1.4142135623730951), _CMP_GT_OQ);
+  const __m256d m =
+      _mm256_blendv_pd(m1, _mm256_mul_pd(m1, _mm256_set1_pd(0.5)), big);
+  // Biased exponent as a double via the 2^52 trick, then unbias; a halved
+  // mantissa moves one unit into the exponent.
+  __m256d e = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(_mm256_srli_epi64(bits, 52),
+                          _mm256_set1_epi64x(0x4330000000000000LL))),
+      _mm256_set1_pd(0x1.0p52 + 1023.0));
+  e = _mm256_add_pd(e, _mm256_and_pd(big, _mm256_set1_pd(1.0)));
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d s =
+      _mm256_div_pd(_mm256_sub_pd(m, one), _mm256_add_pd(m, one));
+  const __m256d w = _mm256_mul_pd(s, s);
+  __m256d p = _mm256_set1_pd(1.0 / 19);
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 17));
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 15));
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 13));
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 11));
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 9));
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 7));
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 5));
+  p = madd<kFma>(p, w, _mm256_set1_pd(1.0 / 3));
+  const __m256d two_s = _mm256_add_pd(s, s);
+  const __m256d log_m = madd<kFma>(_mm256_mul_pd(two_s, w), p, two_s);
+  return madd<kFma>(e, _mm256_set1_pd(0.6931471805599453), log_m);
+}
+
+/// sin and cos of theta in [0, 2 pi].
+template <bool kFma>
+inline void sincos_turn(__m256d theta, __m256d& sin_out, __m256d& cos_out) {
+  // q = nearest integer to theta / (pi/2), as a double and as an int64.
+  const __m256d shifter = _mm256_set1_pd(0x1.8p52);
+  const __m256d t = _mm256_add_pd(
+      _mm256_mul_pd(theta, _mm256_set1_pd(0.6366197723675814)), shifter);
+  const __m256d q = _mm256_sub_pd(t, shifter);
+  const __m256i qi = _mm256_sub_epi64(_mm256_castpd_si256(t),
+                                      _mm256_castpd_si256(shifter));
+  // Cody-Waite: the first two parts of pi/2 carry 22 bits each, so q * part
+  // is exact for q <= 4; the parts sum to pi/2 within 1e-31.
+  __m256d y = _mm256_sub_pd(theta, _mm256_mul_pd(q, _mm256_set1_pd(0x1.921fb4p+0)));
+  y = _mm256_sub_pd(y, _mm256_mul_pd(q, _mm256_set1_pd(0x1.4442dp-24)));
+  y = _mm256_sub_pd(y, _mm256_mul_pd(q, _mm256_set1_pd(0x1.8469898cc517p-48)));
+  const __m256d z = _mm256_mul_pd(y, y);
+  __m256d ps = _mm256_set1_pd(-1.0 / 1307674368000.0);
+  ps = madd<kFma>(ps, z, _mm256_set1_pd(1.0 / 6227020800.0));
+  ps = madd<kFma>(ps, z, _mm256_set1_pd(-1.0 / 39916800.0));
+  ps = madd<kFma>(ps, z, _mm256_set1_pd(1.0 / 362880.0));
+  ps = madd<kFma>(ps, z, _mm256_set1_pd(-1.0 / 5040.0));
+  ps = madd<kFma>(ps, z, _mm256_set1_pd(1.0 / 120.0));
+  ps = madd<kFma>(ps, z, _mm256_set1_pd(-1.0 / 6.0));
+  const __m256d sin_y = madd<kFma>(_mm256_mul_pd(y, z), ps, y);
+  __m256d pc = _mm256_set1_pd(1.0 / 20922789888000.0);
+  pc = madd<kFma>(pc, z, _mm256_set1_pd(-1.0 / 87178291200.0));
+  pc = madd<kFma>(pc, z, _mm256_set1_pd(1.0 / 479001600.0));
+  pc = madd<kFma>(pc, z, _mm256_set1_pd(-1.0 / 3628800.0));
+  pc = madd<kFma>(pc, z, _mm256_set1_pd(1.0 / 40320.0));
+  pc = madd<kFma>(pc, z, _mm256_set1_pd(-1.0 / 720.0));
+  pc = madd<kFma>(pc, z, _mm256_set1_pd(1.0 / 24.0));
+  const __m256d cos_y = madd<kFma>(
+      _mm256_mul_pd(z, z), pc,
+      _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(z, _mm256_set1_pd(0.5))));
+  // Quadrant q: odd q swaps sin and cos; sin flips sign when q & 2, cos
+  // when (q + 1) & 2.
+  const __m256d swap = _mm256_castsi256_pd(_mm256_slli_epi64(qi, 63));
+  const __m256i two = _mm256_set1_epi64x(2);
+  const __m256d sin_sign =
+      _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_and_si256(qi, two), 62));
+  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(qi, _mm256_set1_epi64x(1)), two), 62));
+  sin_out = _mm256_xor_pd(_mm256_blendv_pd(sin_y, cos_y, swap), sin_sign);
+  cos_out = _mm256_xor_pd(_mm256_blendv_pd(cos_y, sin_y, swap), cos_sign);
+}
+
+/// Nearest integer of v as int64 lanes, and in `ok` (ANDed) whether v is
+/// more than delta from a half-integer. h = v - floor(v) is exact for
+/// |v| >= 1/2 and within 2^-54 otherwise, far below delta's 2^-40 floor.
+inline __m256i round_certified(__m256d v, __m256d delta, __m256d& ok) {
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d fl = _mm256_round_pd(v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  const __m256d h = _mm256_sub_pd(v, fl);
+  const __m256d dist =
+      _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(h, half));
+  ok = _mm256_and_pd(ok, _mm256_cmp_pd(dist, delta, _CMP_GT_OQ));
+  const __m256d up = _mm256_and_pd(_mm256_cmp_pd(h, half, _CMP_GT_OQ),
+                                   _mm256_set1_pd(1.0));
+  // Integral doubles below 2^51 in magnitude -> int64 via the 1.5 * 2^52
+  // shifter.
+  const __m256d shifter = _mm256_set1_pd(0x1.8p52);
+  return _mm256_sub_epi64(
+      _mm256_castpd_si256(_mm256_add_pd(_mm256_add_pd(fl, up), shifter)),
+      _mm256_castpd_si256(shifter));
+}
+
+/// Four pairs: words w[0..8) in draw order, shifts into out[0..8). Returns
+/// the 4-bit mask of pairs whose out entries are not certified.
+template <bool kFma>
+int jitter4(const std::uint64_t* w, double sigma, std::int64_t* out) {
+  const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
+  const __m256i b =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
+  const __m256i x1 =
+      _mm256_srli_epi64(_mm256_permute4x64_epi64(_mm256_unpacklo_epi64(a, b), 0xD8), 11);
+  const __m256i x2 =
+      _mm256_srli_epi64(_mm256_permute4x64_epi64(_mm256_unpackhi_epi64(a, b), 0xD8), 11);
+  const __m256d unit = _mm256_set1_pd(0x1.0p-53);
+  const __m256d u1 = _mm256_mul_pd(u53_to_pd(x1), unit);
+  const __m256d u2 = _mm256_mul_pd(u53_to_pd(x2), unit);
+  const __m256d r = _mm256_sqrt_pd(
+      _mm256_mul_pd(log_unit<kFma>(u1), _mm256_set1_pd(-2.0)));
+  __m256d sin_t;
+  __m256d cos_t;
+  sincos_turn<kFma>(
+      _mm256_mul_pd(_mm256_set1_pd(2.0 * std::numbers::pi), u2), sin_t, cos_t);
+  const __m256d sr = _mm256_mul_pd(_mm256_set1_pd(sigma), r);
+  const __m256d delta =
+      madd<kFma>(sr, _mm256_set1_pd(0x1.0p-36), _mm256_set1_pd(0x1.0p-40));
+  // u1 == 0 takes the clamp; sigma r >= 2^30 (or NaN) leaves the int64
+  // trick's range and lround's -- both go to the exact path.
+  __m256d ok = _mm256_andnot_pd(
+      _mm256_castsi256_pd(_mm256_cmpeq_epi64(x1, _mm256_setzero_si256())),
+      _mm256_cmp_pd(sr, _mm256_set1_pd(0x1.0p30), _CMP_LT_OQ));
+  const __m256i c = round_certified(_mm256_mul_pd(sr, cos_t), delta, ok);
+  const __m256i s = round_certified(_mm256_mul_pd(sr, sin_t), delta, ok);
+  const __m256i lo = _mm256_unpacklo_epi64(c, s);  // c0 s0 c2 s2
+  const __m256i hi = _mm256_unpackhi_epi64(c, s);  // c1 s1 c3 s3
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permute2x128_si256(lo, hi, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4),
+                      _mm256_permute2x128_si256(lo, hi, 0x31));
+  return ~_mm256_movemask_pd(ok) & 0xF;
+}
+
+template <bool kFma>
+std::size_t av_jitter_shifts(const JitterCtx& ctx) {
+  std::size_t exact = 0;
+  const auto redo = [&](std::size_t first, std::size_t count) {
+    exact += sc_jitter_shifts(
+        {ctx.words + 2 * first, count, ctx.sigma, ctx.shift + 2 * first});
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= ctx.pairs; i += 4) {
+    int mask = jitter4<kFma>(ctx.words + 2 * i, ctx.sigma, ctx.shift + 2 * i);
+    while (mask != 0) {
+      const int b = __builtin_ctz(static_cast<unsigned>(mask));
+      mask &= mask - 1;
+      redo(i + static_cast<std::size_t>(b), 1);
+    }
+  }
+  // The last 1-3 pairs of a block take the exact path.
+  redo(i, ctx.pairs - i);
+  return exact;
+}
+
 KernelDispatch make_avx2_table(bool fma) {
   KernelDispatch t;
   t.isa = fma ? "avx2+fma" : "avx2";
@@ -337,6 +548,7 @@ KernelDispatch make_avx2_table(bool fma) {
   t.burst_fire = av_burst_fire;
   t.axpy = av_axpy;
   t.mask_compact = av_mask_compact;
+  t.jitter_shifts = fma ? av_jitter_shifts<true> : av_jitter_shifts<false>;
   return t;
 }
 

@@ -16,6 +16,7 @@ std::size_t sc_burst_fire(const BurstFireCtx& ctx);
 void sc_axpy(float* y, const float* x, float a, std::size_t n);
 std::size_t sc_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
                             std::size_t n, std::uint32_t* dst);
+std::size_t sc_jitter_shifts(const JitterCtx& ctx);
 
 extern const KernelDispatch kScalarTable;
 

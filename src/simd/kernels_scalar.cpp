@@ -5,6 +5,10 @@
 // reference stays plain mul+add under any optimization flags.
 #include "simd/kernels_internal.h"
 
+#include <cmath>
+
+#include "common/rng.h"
+
 namespace tsnn::simd {
 
 void sc_dense_scatter(const DenseScatterCtx& ctx) {
@@ -108,6 +112,19 @@ std::size_t sc_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
   return k;
 }
 
+// The exact path: Rng::box_muller is the definition Rng::normal runs, and
+// sigma * z is the one multiply normal(0, sigma) adds (its + 0.0 cannot
+// change what lround returns).
+std::size_t sc_jitter_shifts(const JitterCtx& ctx) {
+  for (std::size_t i = 0; i < ctx.pairs; ++i) {
+    const Rng::NormalPair z =
+        Rng::box_muller(ctx.words[2 * i], ctx.words[2 * i + 1]);
+    ctx.shift[2 * i] = std::lround(ctx.sigma * z.first);
+    ctx.shift[2 * i + 1] = std::lround(ctx.sigma * z.second);
+  }
+  return ctx.pairs;
+}
+
 const KernelDispatch kScalarTable = [] {
   KernelDispatch t;
   t.isa = "scalar";
@@ -119,6 +136,7 @@ const KernelDispatch kScalarTable = [] {
   t.burst_fire = sc_burst_fire;
   t.axpy = sc_axpy;
   t.mask_compact = sc_mask_compact;
+  t.jitter_shifts = sc_jitter_shifts;
   return t;
 }();
 

@@ -183,17 +183,22 @@ class EventBuffer {
   /// `fn(time, neuron)` (must land in [0, window)), visiting events in
   /// time-major order, then re-buckets. Events that map to the same step
   /// keep their visit order (stable): within a step, events land in draw
-  /// order.
+  /// order. The new times are staged in `scratch` and checked before the
+  /// buffer changes, so a rejected remap (an out-of-window time, or a throw
+  /// from `fn`) leaves the buffer exactly as it was.
   template <typename Fn>
   void remap_times(Fn&& fn, EventSortScratch& scratch) {
     check_finalized();
-    for (std::size_t i = 0; i < times_.size(); ++i) {
-      times_[i] = fn(times_[i], neurons_[i]);
-      TSNN_CHECK_MSG(times_[i] >= 0 &&
-                         static_cast<std::size_t>(times_[i]) < window_,
-                     "remapped time " << times_[i] << " outside window "
-                                      << window_);
+    const std::size_t n = times_.size();
+    scratch.times.resize(n);
+    std::int32_t* staged = scratch.times.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int32_t t = fn(times_[i], neurons_[i]);
+      TSNN_CHECK_MSG(t >= 0 && static_cast<std::size_t>(t) < window_,
+                     "remapped time " << t << " outside window " << window_);
+      staged[i] = t;
     }
+    times_.swap(scratch.times);
     sorted_ = false;
     finalized_ = false;
     finalize(scratch);

@@ -395,12 +395,12 @@ const std::uint32_t* PoolTopology::post_map() const {
 void PoolTopology::propagate(const SpikeBatch& batch, float* u) const {
   // Pool fan-out is O(1) per spike, so the per-spike scatter always beats
   // the dense drive; batching removes the virtual dispatch and div/mod.
+  check_batch_bounds(batch, in_size());
   const std::uint32_t* post = post_map();
   const float w = weight_;
   const std::uint32_t* pre = batch.pre();
   const float* mag = batch.magnitude();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    TSNN_CHECK_MSG(pre[i] < in_size(), "pre neuron out of range");
     u[post[pre[i]]] += mag[i] * w;
   }
 }

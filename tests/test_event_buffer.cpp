@@ -215,6 +215,41 @@ TEST(EventBuffer, RemapTimesRebucketsStably) {
   EXPECT_EQ(buf.size(), 3u);
 }
 
+TEST(EventBuffer, RemapTimesRejectsOutOfWindowLeavesBufferIntact) {
+  EventBuffer buf = golden_input();
+  EventSortScratch scratch;
+  const auto before = events_of(buf);
+  // Every event moves one step (wrapping), except the last, which maps
+  // past the window: the remap must throw before any time changes, leaving
+  // times, offsets and the finalized state as they were.
+  const std::size_t n = buf.size();
+  std::size_t visited = 0;
+  EXPECT_THROW(buf.remap_times(
+                   [&](std::int32_t t, std::uint32_t) {
+                     const auto window = static_cast<std::int32_t>(buf.window());
+                     return ++visited == n ? window : (t + 1) % window;
+                   },
+                   scratch),
+               InvalidArgument);
+  EXPECT_EQ(visited, n);
+  ASSERT_TRUE(buf.finalized());
+  EXPECT_EQ(events_of(buf), before);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    const auto t = static_cast<std::size_t>(buf.times()[i]);
+    const std::size_t begin = static_cast<std::size_t>(buf.step_begin(t) - buf.neurons());
+    EXPECT_GE(i, begin) << "event " << i << " outside its step";
+    EXPECT_LT(i, begin + buf.step_count(t)) << "event " << i << " outside its step";
+  }
+  // A throwing callback is rejected the same way.
+  EXPECT_THROW(buf.remap_times(
+                   [](std::int32_t, std::uint32_t) -> std::int32_t {
+                     throw InvalidArgument("callback failed");
+                   },
+                   scratch),
+               InvalidArgument);
+  EXPECT_EQ(events_of(buf), before);
+}
+
 // ---------------------------------------------------------------------------
 // In-place noise vs the reference bucket loops: both must consume the RNG
 // in the same order and produce identical spike trains for any fixed seed.

@@ -106,8 +106,9 @@ void expect_equivalent(const SynapseTopology& syn, const SpikeBatch& batch) {
 
 /// Out-of-range `pre` throws InvalidArgument on the sparse branch (one bad
 /// id after a valid one) and on the dense-drive branch (a threshold-sized
-/// batch whose last id is bad). A later valid batch of the same size still
-/// meets the core property: a rejected batch leaves no residue in the
+/// batch whose last id is bad), before writing anything: `u` is still all
+/// zeros after each rejected batch. A later valid batch of the same size
+/// still meets the core property: a rejected batch leaves no residue in the
 /// dense drive's scratch.
 void expect_out_of_range_throws(const SynapseTopology& syn,
                                 std::uint64_t seed) {
@@ -118,6 +119,8 @@ void expect_out_of_range_throws(const SynapseTopology& syn,
   sparse.add(bad, 1.0f);
   ASSERT_LT(sparse.size(), syn.dense_drive_threshold());
   EXPECT_THROW(syn.propagate(sparse, u.data()), InvalidArgument);
+  EXPECT_EQ(u, std::vector<float>(syn.out_size(), 0.0f))
+      << "rejected sparse batch wrote into u";
 
   const SpikeBatch valid =
       random_batch(syn.in_size(), syn.dense_drive_threshold(), seed);
@@ -127,6 +130,8 @@ void expect_out_of_range_throws(const SynapseTopology& syn,
   }
   dense.add(bad, 1.0f);
   EXPECT_THROW(syn.propagate(dense, u.data()), InvalidArgument);
+  EXPECT_EQ(u, std::vector<float>(syn.out_size(), 0.0f))
+      << "rejected dense-drive batch wrote into u";
 
   expect_equivalent(syn, valid);
 }
