@@ -1,6 +1,7 @@
 // Google-benchmark micro-kernels for TSNN's hot paths: conv/dense forward,
 // batched spike propagation through SynapseTopology::propagate (the one
-// spike entry point the simulator runs), burst coding's fire scan, spike
+// spike entry point the simulator runs), the rate/phase and burst fire
+// steps, spike
 // encoding, and noise injection. These quantify the cost model behind the
 // figure benches (event-driven cost ~ spikes x fanout, which is why TTFS
 // simulations are ~10x cheaper than rate simulations).
@@ -10,7 +11,10 @@
 // row lines up with perfbench's traced stage.*.<stage>.us span and times
 // the conv_taps kernel at that stage's shape.
 //
-// The spike-propagation, burst-fire and noise benches also register one
+// BM_ThresholdFire and BM_BurstFire time one fire step at the zoo's conv1a
+// and fc1 shapes: the slot-order scan plus the canonical reorder.
+//
+// The spike-propagation, fire and noise benches also register one
 // variant per runnable SIMD dispatch table (e.g. BM_ConvSpikePropagate<scalar>/conv1a
 // next to BM_ConvSpikePropagate<avx2+fma>/conv1a), so one run measures the
 // vector speedup against the forced-scalar reference on identical batches.
@@ -21,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "coding/burst.h"
@@ -217,29 +222,79 @@ BENCHMARK(BM_Encode)
     ->Arg(static_cast<int>(snn::Coding::kBurst))
     ->Arg(static_cast<int>(snn::Coding::kTtfs));
 
-/// Burst coding's firing scan over one layer of `channels` x `spatial`
-/// neurons with the registry's burst params. spatial > 1 is a conv layer:
-/// its potentials sit in the transposed {spatial, channel} accumulator, so
-/// the scan reads them through the umap gather; spatial == 1 is a dense
-/// layer on the identity map. One potential in eight covers its quantum
-/// (traced conv1a fires on about 12% of its neuron-steps) and the counters
-/// start below, at and above cap. Each iteration restores the
-/// potentials and counters (two copies of n words, the same on every table)
-/// so every pass fires the same neurons.
+/// A hidden layer of `channels` x `spatial` neurons whose accumulator the
+/// fire benches scan: spatial > 1 is a conv layer (a 1x1 conv, so its
+/// potentials sit in the {spatial, channel} layout and the fired slots go
+/// through the canonical reorder), spatial == 1 a dense layer (identity).
+std::unique_ptr<snn::SynapseTopology> fire_layer(std::size_t channels,
+                                                 std::size_t spatial) {
+  if (spatial > 1) {
+    return std::make_unique<snn::ConvTopology>(
+        Tensor{Shape{channels, 1, 1, 1}}, 1, spatial, 1, 0);
+  }
+  return std::make_unique<snn::DenseTopology>(Tensor{Shape{channels, 1}});
+}
+
+/// One fire step of the rate/phase firing scan as a scheme runs it: the
+/// slot-order threshold_fire with soft reset, then StageState's canonical
+/// reorder. One potential in eight covers theta (traced conv1a fires on
+/// about 12% of its neuron-steps). Each iteration restores the potentials
+/// (one copy of n floats, the same on every table) so every pass fires the
+/// same neurons.
+void BM_ThresholdFire(benchmark::State& state) {
+  const auto channels = static_cast<std::size_t>(state.range(0));
+  const auto spatial = static_cast<std::size_t>(state.range(1));
+  const std::size_t n = channels * spatial;
+  const auto syn = fire_layer(channels, spatial);
+  snn::StageState st;
+  st.bind(*syn);
+  const float theta = coding::default_params(snn::Coding::kRate).threshold;
+  Rng rng(17);
+  aligned_vector<float> u0(n);
+  for (float& v : u0) {
+    const bool fires = rng.uniform(0.0, 1.0) < 0.125;
+    v = static_cast<float>(rng.uniform(fires ? 1.0 : 0.0, fires ? 2.0 : 1.0)) *
+        theta;
+  }
+  simd::ThresholdCtx ctx;
+  ctx.u = st.u.data();
+  ctx.n = n;
+  ctx.threshold = theta;
+  ctx.subtract = true;
+  ctx.fired = st.fired.data();
+  std::size_t nf = 0;
+  for (auto _ : state) {
+    std::copy(u0.begin(), u0.end(), st.u.begin());
+    nf = simd::kernels().threshold_fire(ctx);
+    benchmark::DoNotOptimize(st.canonical_fired(nf));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  state.counters["fired"] = static_cast<double>(nf);
+}
+// The TSNN_FAST zoo's conv1a (8 channels x 16x16) and fc1 (48) outputs:
+// the rows map onto perfbench's traced stage.rate.conv1a / fc1 spans.
+BENCHMARK(BM_ThresholdFire)->ArgNames({"ch", "hw"})->Args({8, 256})->Args({48, 1});
+
+/// Burst coding's fire step with the registry's burst params: the
+/// slot-order burst_fire scan, then the canonical reorder, on the same
+/// layers as BM_ThresholdFire. One potential in eight covers its quantum
+/// and the counters start below, at and above cap. Each iteration restores
+/// the potentials and counters (two copies of n words, the same on every
+/// table) so every pass fires the same neurons.
 void BM_BurstFire(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
   const auto spatial = static_cast<std::size_t>(state.range(1));
   const std::size_t n = channels * spatial;
+  const auto syn = fire_layer(channels, spatial);
+  snn::StageState st;
+  st.bind(*syn);
   const snn::CodingParams p = coding::default_params(snn::Coding::kBurst);
   const coding::BurstScheme scheme(p);
   float q[8];
   for (std::size_t e = 0; e < 8; ++e) {
     q[e] = p.threshold * scheme.burst_gain(e);
-  }
-  // Canonical neuron j sits at slot umap[j] (identity when spatial == 1).
-  aligned_vector<std::uint32_t> umap(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    umap[j] = static_cast<std::uint32_t>((j % spatial) * channels + j / spatial);
   }
   Rng rng(16);
   aligned_vector<float> u0(n);
@@ -248,35 +303,30 @@ void BM_BurstFire(benchmark::State& state) {
     k0[j] = static_cast<std::uint32_t>(rng.uniform_index(p.burst_cap + 3));
     const float quantum = q[std::min<std::size_t>(k0[j], p.burst_cap)];
     const bool fires = rng.uniform(0.0, 1.0) < 0.125;
-    u0[umap[j]] =
+    u0[j] =
         static_cast<float>(rng.uniform(fires ? 1.0 : 0.0, fires ? 2.0 : 1.0)) *
         quantum;
   }
-  aligned_vector<float> u(n);
-  aligned_vector<std::uint32_t> k(n);
-  aligned_vector<std::uint32_t> fired(n);
+  st.k.resize(n);
   simd::BurstFireCtx ctx;
-  ctx.u = u.data();
-  ctx.umap = spatial > 1 ? umap.data() : nullptr;
-  ctx.k = k.data();
+  ctx.u = st.u.data();
+  ctx.k = st.k.data();
   ctx.n = n;
   ctx.q = q;
   ctx.cap = static_cast<std::uint32_t>(p.burst_cap);
-  ctx.fired = fired.data();
+  ctx.fired = st.fired.data();
   std::size_t nf = 0;
   for (auto _ : state) {
-    std::copy(u0.begin(), u0.end(), u.begin());
-    std::copy(k0.begin(), k0.end(), k.begin());
+    std::copy(u0.begin(), u0.end(), st.u.begin());
+    std::copy(k0.begin(), k0.end(), st.k.begin());
     nf = simd::kernels().burst_fire(ctx);
-    benchmark::DoNotOptimize(nf);
+    benchmark::DoNotOptimize(st.canonical_fired(nf));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
   state.counters["fired"] = static_cast<double>(nf);
 }
-// The TSNN_FAST zoo's conv1a (8 channels x 16x16) and fc1 (48) outputs:
-// the rows map onto perfbench's traced stage.burst.conv1a / fc1 spans.
 BENCHMARK(BM_BurstFire)->ArgNames({"ch", "hw"})->Args({8, 256})->Args({48, 1});
 
 /// Times `noise` the way the simulator runs it: apply_inplace() on a warm
@@ -339,7 +389,7 @@ void register_conv_rows(const std::string& suffix, const Wrap& wrap) {
   }
 }
 
-/// Registers one copy of the spike-propagation, burst-fire and noise
+/// Registers one copy of the spike-propagation, fire and noise
 /// benches per runnable dispatch table, each pinned via ScopedKernelOverride for the
 /// duration of its run -- BM_ConvSpikePropagate<scalar>/conv1a next to
 /// BM_ConvSpikePropagate<avx2+fma>/conv1a is the vector-vs-reference
@@ -368,6 +418,11 @@ void register_isa_variants() {
         pinned(BM_DenseSpikePropagateDenseDrive))
         ->Arg(512);
     register_conv_rows(suffix, pinned);
+    benchmark::RegisterBenchmark(("BM_ThresholdFire" + suffix).c_str(),
+                                 pinned(BM_ThresholdFire))
+        ->ArgNames({"ch", "hw"})
+        ->Args({8, 256})
+        ->Args({48, 1});
     benchmark::RegisterBenchmark(("BM_BurstFire" + suffix).c_str(),
                                  pinned(BM_BurstFire))
         ->ArgNames({"ch", "hw"})

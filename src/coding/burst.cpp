@@ -40,20 +40,16 @@ BurstScheme::BurstScheme(snn::CodingParams params) : CodingScheme(params) {
   }
 }
 
-void BurstScheme::fire_into(float* u, const std::uint32_t* umap,
-                            std::uint32_t* k, std::size_t n, const float* q,
-                            std::uint32_t* fired, std::size_t t,
-                            EventBuffer& out) const {
-  simd::BurstFireCtx fire;
-  fire.u = u;
-  fire.umap = umap;
-  fire.k = k;
-  fire.n = n;
-  fire.q = q;
-  fire.cap = static_cast<std::uint32_t>(params_.burst_cap);
-  fire.fired = fired;
-  const std::size_t nf = simd::kernels().burst_fire(fire);
-  out.push_step(static_cast<std::int32_t>(t), fired, nf);
+std::size_t BurstScheme::fire(float* u, std::uint32_t* k, std::size_t n,
+                              const float* q, std::uint32_t* fired) const {
+  simd::BurstFireCtx ctx;
+  ctx.u = u;
+  ctx.k = k;
+  ctx.n = n;
+  ctx.q = q;
+  ctx.cap = static_cast<std::uint32_t>(params_.burst_cap);
+  ctx.fired = fired;
+  return simd::kernels().burst_fire(ctx);
 }
 
 void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
@@ -62,8 +58,8 @@ void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   out.reset(n, params_.window);
   // Injection a per step, drained by escalating burst quanta (base 1.0).
   // Integration is an axpy (1 * a == a exactly) and the fire pass the
-  // burst_fire scan on the identity map -- bit-exact split, neurons are
-  // independent.
+  // burst_fire scan, whose slots are the neurons here -- bit-exact split,
+  // neurons are independent.
   ws.acc.assign(n, 0.0f);
   ws.k.assign(n, 0);
   const float* a = activations.data();
@@ -71,23 +67,24 @@ void BurstScheme::encode_into(const Tensor& activations, SimWorkspace& ws,
   const auto& kern = simd::kernels();
   for (std::size_t t = 0; t < params_.window; ++t) {
     kern.axpy(ws.acc.data(), a, 1.0f, n);
-    fire_into(ws.acc.data(), nullptr, ws.k.data(), n, gains_.data(), fired, t,
-              out);
+    const std::size_t nf = fire(ws.acc.data(), ws.k.data(), n, gains_.data(),
+                                fired);
+    out.push_step(static_cast<std::int32_t>(t), fired, nf);
   }
   out.finalize(ws.sort);
 }
 
 void BurstScheme::decode_arrivals(const EventBuffer& in, std::size_t t,
                                   float base_in, snn::StageState& st) const {
-  // Burst magnitudes depend on each sender's ISI history, so the batch is
-  // assembled spike by spike (unlike the uniform-magnitude schemes).
-  st.batch.clear();
+  // Burst magnitudes depend on each sender's ISI history: the batch takes
+  // the step's ids in one copy, then each magnitude is written in place.
   const EventBuffer::StepSpan span = in.step(t);
+  float* mag = st.batch.assign_ids(span.ids, span.count);
   for (std::size_t i = 0; i < span.count; ++i) {
     const std::uint32_t pre = span.ids[i];
     const std::size_t k = isi_on_arrival(static_cast<std::int64_t>(t),
                                          st.isi_last[pre], st.isi_k[pre]);
-    st.batch.add(pre, base_in * burst_gain(k));
+    mag[i] = base_in * burst_gain(k);
   }
 }
 
@@ -98,12 +95,10 @@ void BurstScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
-  st.accum_map(syn);
-  st.potentials(out_n);
+  st.bind(syn);
   st.isi_last.assign(in.num_neurons(), -10);
   st.isi_k.assign(in.num_neurons(), 0);
   st.k.assign(out_n, 0);
-  st.fired_scratch(out_n);
 }
 
 void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -116,10 +111,11 @@ void BurstScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
     syn.propagate(st.batch, st.u.data());
   }
   // Escalating soft reset: quantum theta * g^min(k, cap), drained on fire.
-  // Identity layouts skip the umap indirection inside the kernel.
-  fire_into(st.u.data(), st.transposed ? st.umap.data() : nullptr,
-            st.k.data(), syn.out_size(), layer_quanta_.data(),
-            st.fired.data(), t, out);
+  // The kernel scans potentials and counters in slot order; the fired slots
+  // go out as ascending ids.
+  const std::size_t nf = fire(st.u.data(), st.k.data(), syn.out_size(),
+                              layer_quanta_.data(), st.fired.data());
+  out.push_step(static_cast<std::int32_t>(t), st.canonical_fired(nf), nf);
 }
 
 void BurstScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -136,8 +132,7 @@ void BurstScheme::begin_readout(const EventBuffer& in,
                                 snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
-  st.potentials(syn.out_size());
+  st.bind(syn);
   st.isi_last.assign(in.num_neurons(), -10);
   st.isi_k.assign(in.num_neurons(), 0);
 }

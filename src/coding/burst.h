@@ -59,11 +59,10 @@ class BurstScheme : public snn::CodingScheme {
   }
 
  private:
-  /// Runs the burst_fire kernel over `n` neurons with quanta `q` and emits
-  /// the fired neurons as step `t` of `out`.
-  void fire_into(float* u, const std::uint32_t* umap, std::uint32_t* k,
-                 std::size_t n, const float* q, std::uint32_t* fired,
-                 std::size_t t, snn::EventBuffer& out) const;
+  /// Runs the burst_fire kernel over `n` slots with quanta `q`; returns
+  /// the fired count, with the ascending fired slots in `fired`.
+  std::size_t fire(float* u, std::uint32_t* k, std::size_t n, const float* q,
+                   std::uint32_t* fired) const;
 
   /// Assembles the ISI-decoded arrival batch of step `t`: each sender's
   /// escalation counter k is reconstructed from its arrival history in

@@ -59,9 +59,7 @@ void PhaseScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
-  st.accum_map(syn);
-  st.potentials(out_n);
-  st.fired_scratch(out_n);
+  st.bind(syn);
 }
 
 void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -79,13 +77,12 @@ void PhaseScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   // -- a subtract-mode threshold scan per phase.
   simd::ThresholdCtx fire;
   fire.u = st.u.data();
-  fire.umap = st.transposed ? st.umap.data() : nullptr;
   fire.n = syn.out_size();
   fire.threshold = theta * phase_weight(t);
   fire.subtract = true;
   fire.fired = st.fired.data();
   const std::size_t nf = simd::kernels().threshold_fire(fire);
-  out.push_step(static_cast<std::int32_t>(t), fire.fired, nf);
+  out.push_step(static_cast<std::int32_t>(t), st.canonical_fired(nf), nf);
 }
 
 void PhaseScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -102,8 +99,7 @@ void PhaseScheme::begin_readout(const EventBuffer& in,
                                 snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
-  st.potentials(syn.out_size());
+  st.bind(syn);
 }
 
 void PhaseScheme::step_readout(const EventBuffer& in,

@@ -48,9 +48,7 @@ void RateScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   out.reset(out_n, params_.window);
-  st.accum_map(syn);
-  st.potentials(out_n);
-  st.fired_scratch(out_n);
+  st.bind(syn);
 }
 
 void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -64,17 +62,16 @@ void RateScheme::step_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   snn::propagate_step(in, t, theta, syn, st.batch, st.u.data());
   // Subtract-mode threshold scan: fire where u >= theta and soft-reset by
-  // draining theta (residual preserved, RMP-SNN). Identity layouts skip
-  // the umap indirection inside the kernel.
+  // draining theta (residual preserved, RMP-SNN). The kernel scans the
+  // accumulator in slot order; the fired slots go out as ascending ids.
   simd::ThresholdCtx fire;
   fire.u = st.u.data();
-  fire.umap = st.transposed ? st.umap.data() : nullptr;
   fire.n = syn.out_size();
   fire.threshold = theta;
   fire.subtract = true;
   fire.fired = st.fired.data();
   const std::size_t nf = simd::kernels().threshold_fire(fire);
-  out.push_step(static_cast<std::int32_t>(t), fire.fired, nf);
+  out.push_step(static_cast<std::int32_t>(t), st.canonical_fired(nf), nf);
 }
 
 void RateScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
@@ -91,8 +88,7 @@ void RateScheme::begin_readout(const EventBuffer& in,
                                snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
-  st.potentials(syn.out_size());
+  st.bind(syn);
 }
 
 void RateScheme::step_readout(const EventBuffer& in, const SynapseTopology& syn,

@@ -76,8 +76,7 @@ void TtfsScheme::begin_layer(const EventBuffer& in, const SynapseTopology& syn,
                              EventBuffer& out) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
-  st.potentials(syn.out_size());
+  st.bind(syn);
   out.reset(syn.out_size(), raster_window());
 }
 
@@ -101,27 +100,27 @@ void TtfsScheme::end_layer(const EventBuffer& in, const SynapseTopology& syn,
   static_cast<void>(role);
   const std::size_t out_n = syn.out_size();
   const float theta = params_.threshold;
-  float* u = st.u.data();
-  const std::uint32_t* umap = st.umap.data();
+  const float* u = st.u.data();
   const auto window = static_cast<std::int64_t>(params_.window);
   // Fire phase: u >= theta*exp(-t/tau)  <=>  t >= tau*ln(theta/u). The
   // dynamic threshold floor is theta*exp(-(T-1)/tau); below it (including
   // all u <= 0) the neuron stays silent, which implements ReLU.
-  // The floor comparison is a collect-only threshold scan (no subtract);
-  // the per-candidate log/round stays scalar but now runs only over the
-  // typically sparse survivor list.
+  // The floor comparison is a collect-only threshold scan (no subtract) in
+  // slot order; the survivors are emitted in ascending canonical order, so
+  // each is read back at its slot. The per-candidate log/round stays
+  // scalar but runs only over the typically sparse survivor list.
   const float floor = theta * kernel(window - 1);
   simd::ThresholdCtx scan;
-  scan.u = u;
-  scan.umap = st.transposed ? umap : nullptr;
+  scan.u = st.u.data();
   scan.n = out_n;
   scan.threshold = floor;
   scan.subtract = false;
-  scan.fired = st.fired_scratch(out_n);
+  scan.fired = st.fired.data();
   const std::size_t nf = simd::kernels().threshold_fire(scan);
+  const std::uint32_t* ids = st.canonical_fired(nf);
   for (std::size_t f = 0; f < nf; ++f) {
-    const std::uint32_t j = scan.fired[f];
-    const float uj = u[umap[j]];
+    const std::uint32_t j = ids[f];
+    const float uj = u[st.slot_of(j)];
     auto t1 = static_cast<std::int64_t>(
         std::lround(params_.tau * std::log(theta / uj)));
     if (t1 < 0) {
@@ -144,8 +143,7 @@ void TtfsScheme::begin_readout(const EventBuffer& in,
                                snn::StageState& st) const {
   TSNN_CHECK_MSG(in.num_neurons() == syn.in_size(), "train/synapse size mismatch");
   static_cast<void>(role);
-  st.accum_map(syn);
-  st.potentials(syn.out_size());
+  st.bind(syn);
 }
 
 void TtfsScheme::step_readout(const EventBuffer& in, const SynapseTopology& syn,

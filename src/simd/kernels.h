@@ -25,6 +25,11 @@
 // jitter_shifts outputs integers: a vector table approximates the Gaussian
 // in double precision and certifies each rounded integer against the exact
 // path's (Ziv's rounding test), recomputing exactly what it cannot certify.
+// The two fire scans (threshold_fire, burst_fire) are identity-only: they
+// walk the accumulator at unit stride in its own slot order, soft-reset by
+// one vector blend and left-pack the fired slots, with no branch per fired
+// lane. Neurons are independent, so the scan order cannot change a value;
+// the caller maps the ascending fired slots back to ascending neuron ids.
 // The simd translation units are compiled with -ffp-contract=off so the
 // "scalar" semantics stay scalar under any -march.
 //
@@ -77,7 +82,9 @@ struct ConvTap {
 /// for each spike i (ic = pre[i]/in_hw, sp = pre[i]%in_hw), for each tap of
 /// sp, u[tap.spatial*oc ..] += mag[i] * wt[(ic*k2 + tap.wofs)*oc ..] over
 /// all oc channels. Taps of one spike touch distinct rows, so per-slot
-/// addition order is spike order -- bit-exact by construction.
+/// addition order is spike order -- bit-exact by construction. How a table
+/// finds ic and sp (a divide, or a channel cursor that follows the ids) is
+/// its own business: any pre order is valid.
 struct ConvTapCtx {
   const float* wt = nullptr;                  ///< {ic, k2, oc} weight copy
   const std::uint32_t* tap_offset = nullptr;  ///< in_hw + 1 CSR offsets
@@ -91,34 +98,37 @@ struct ConvTapCtx {
   float* u = nullptr;     ///< {spatial, channel} accumulators
 };
 
-/// Potential/threshold scan: visits canonical neurons j = 0..n in order,
-/// reading u[umap[j]] (umap == nullptr means identity), and records every j
-/// with u >= threshold into `fired` (capacity >= n). When `subtract`, a
-/// firing neuron is drained by threshold in place (the rate/phase soft
-/// reset); otherwise u is untouched (the TTFS/TTAS floor scan). Returns the
-/// fired count. Bit-exact: compares and subtractions happen in canonical
-/// order, exactly like the historical per-neuron loop.
+/// Potential/threshold scan over accumulator slots j = 0..n at unit stride:
+/// records every j with u[j] >= threshold into `fired`, ascending, and
+/// returns the fired count. When `subtract`, a firing slot is drained by
+/// threshold in place (the rate/phase soft reset); otherwise u is untouched
+/// (the TTFS/TTAS floor scan). The scan is identity-only: it sees slots,
+/// not neurons, and a caller whose layout is not the identity restores
+/// canonical neuron order afterwards (StageState::canonical_fired). Bit-
+/// exact: each slot gets one compare and, when it fires, exactly one
+/// subtraction, as in the per-neuron loop. `fired` needs capacity n and no
+/// more: a vector table stores a whole 8-lane block at fired + f, and f <= j
+/// for the block at j, so the store never passes fired + n.
 struct ThresholdCtx {
   float* u = nullptr;
-  const std::uint32_t* umap = nullptr;
   std::size_t n = 0;
   float threshold = 0.0f;
   bool subtract = false;
   std::uint32_t* fired = nullptr;
 };
 
-/// Burst-coding firing scan: visits canonical neurons j = 0..n in order,
-/// reading u[umap[j]] (umap == nullptr means identity). Neuron j's quantum
-/// is q[min(k[j], cap)]; when u >= quantum the neuron fires -- u is drained
-/// by the quantum, k[j] counts up and j is recorded into `fired` (capacity
-/// >= n) -- otherwise k[j] resets to 0. Returns the fired count. `q` holds
-/// 8 entries and cap <= 7, so one vector register carries the whole table.
-/// Bit-exact: one compare and at most one subtraction per neuron, in
-/// canonical order, exactly like the per-neuron escalation loop.
+/// Burst-coding firing scan over accumulator slots j = 0..n at unit stride.
+/// Slot j's quantum is q[min(k[j], cap)]; when u[j] >= quantum the slot
+/// fires -- u[j] is drained by the quantum, k[j] counts up and j is recorded
+/// into `fired`, ascending -- otherwise k[j] resets to 0. Returns the fired
+/// count. `q` holds 8 entries and cap <= 7, so one vector register carries
+/// the whole table. Identity-only like ThresholdCtx: the counters are the
+/// slots' private state, indexed like u. Bit-exact: one compare and at most
+/// one subtraction per slot, exactly like the per-neuron escalation loop;
+/// `fired` needs capacity n (see ThresholdCtx).
 struct BurstFireCtx {
   float* u = nullptr;
-  const std::uint32_t* umap = nullptr;
-  std::uint32_t* k = nullptr;  ///< escalation counters, canonical order
+  std::uint32_t* k = nullptr;  ///< escalation counters, one per slot
   std::size_t n = 0;
   const float* q = nullptr;    ///< 8 quanta: theta * g^min(e, cap)
   std::uint32_t cap = 0;       ///< largest quantum index used (<= 7)

@@ -123,81 +123,134 @@ void av_dense_matvec_fma(const DenseMatvecCtx& ctx) {
 
 // ----------------------------------------------------------- conv taps ----
 
-void av_conv_taps(const ConvTapCtx& ctx) {
-  const std::size_t oc = ctx.oc;
+// The input channel of each spike comes from a cursor that follows the ids
+// instead of a divide: lo = ic * in_hw moves one channel at a time until
+// lo <= pre < lo + in_hw. Within a step ids mostly ascend (every fire scan
+// emits ascending ids), so the cursor moves at channel boundaries only; a
+// jittered step whose ids restart walks it back. kVecs > 0 fixes the
+// channel loop at kVecs vectors (oc == 8 * kVecs, no tail); kVecs == 0 is
+// the generic loop. Each slot still receives m * w in spike order, one mul
+// and one add, so every variant matches sc_conv_taps bitwise.
+template <std::size_t kVecs>
+void av_conv_taps_impl(const ConvTapCtx& ctx) {
+  const std::size_t oc = kVecs > 0 ? 8 * kVecs : ctx.oc;
+  const std::size_t in_hw = ctx.in_hw;
+  const std::size_t channel_stride = ctx.k2 * oc;
+  std::size_t lo = 0;
+  const float* wbase = ctx.wt;
   for (std::size_t i = 0; i < ctx.count; ++i) {
     const std::size_t pre = ctx.pre[i];
-    const std::size_t ic = pre / ctx.in_hw;
-    const std::size_t sp = pre % ctx.in_hw;
+    while (pre >= lo + in_hw) {
+      lo += in_hw;
+      wbase += channel_stride;
+    }
+    while (pre < lo) {
+      lo -= in_hw;
+      wbase -= channel_stride;
+    }
+    const std::size_t sp = pre - lo;
     const __m256 mv = _mm256_set1_ps(ctx.mag[i]);
     const float m = ctx.mag[i];
-    const float* wbase = ctx.wt + ic * ctx.k2 * oc;
     const std::uint32_t end = ctx.tap_offset[sp + 1];
     for (std::uint32_t t = ctx.tap_offset[sp]; t < end; ++t) {
       const ConvTap tap = ctx.taps[t];
       float* urow = ctx.u + static_cast<std::size_t>(tap.spatial) * oc;
       const float* wrow = wbase + static_cast<std::size_t>(tap.wofs) * oc;
-      std::size_t c = 0;
-      for (; c + 8 <= oc; c += 8) {
-        const __m256 u = _mm256_loadu_ps(urow + c);
-        const __m256 w = _mm256_loadu_ps(wrow + c);
-        _mm256_storeu_ps(urow + c, _mm256_add_ps(u, _mm256_mul_ps(mv, w)));
-      }
-      for (; c < oc; ++c) {
-        urow[c] += m * wrow[c];
+      if constexpr (kVecs > 0) {
+        for (std::size_t c = 0; c < 8 * kVecs; c += 8) {
+          const __m256 u = _mm256_loadu_ps(urow + c);
+          const __m256 w = _mm256_loadu_ps(wrow + c);
+          _mm256_storeu_ps(urow + c, _mm256_add_ps(u, _mm256_mul_ps(mv, w)));
+        }
+      } else {
+        std::size_t c = 0;
+        for (; c + 8 <= oc; c += 8) {
+          const __m256 u = _mm256_loadu_ps(urow + c);
+          const __m256 w = _mm256_loadu_ps(wrow + c);
+          _mm256_storeu_ps(urow + c, _mm256_add_ps(u, _mm256_mul_ps(mv, w)));
+        }
+        for (; c < oc; ++c) {
+          urow[c] += m * wrow[c];
+        }
       }
     }
   }
 }
 
+void av_conv_taps(const ConvTapCtx& ctx) {
+  switch (ctx.oc) {
+    case 8: return av_conv_taps_impl<1>(ctx);
+    case 16: return av_conv_taps_impl<2>(ctx);
+    case 24: return av_conv_taps_impl<3>(ctx);
+    case 32: return av_conv_taps_impl<4>(ctx);
+    default: return av_conv_taps_impl<0>(ctx);
+  }
+}
+
+// ---------------------------------------------------------- left-pack ----
+
+// Left-pack via a 256-entry permutation LUT: an 8-lane mask indexes the
+// lane order that gathers the selected lanes to the front. The stream
+// compaction moves the selected elements with it; the fire scans move the
+// lane numbers (plus the block base), which are the fired slots.
+const std::array<std::array<std::uint8_t, 8>, 256>& compact_lut() {
+  static const auto lut = [] {
+    std::array<std::array<std::uint8_t, 8>, 256> t{};
+    for (int mask = 0; mask < 256; ++mask) {
+      int out = 0;
+      for (int lane = 0; lane < 8; ++lane) {
+        if ((mask >> lane) & 1) {
+          t[mask][out++] = static_cast<std::uint8_t>(lane);
+        }
+      }
+    }
+    return t;
+  }();
+  return lut;
+}
+
+/// Left-packs the slots j + b of the set bits b of `mask` to fired + f and
+/// returns the new count. The whole 8-lane vector is stored; lanes past the
+/// popcount are scratch the next block overwrites, and since f <= j the
+/// store stays below fired + j + 8 -- capacity n suffices.
+inline std::size_t pack_fired(const std::array<std::array<std::uint8_t, 8>, 256>& lut,
+                              int mask, std::size_t j, std::uint32_t* fired,
+                              std::size_t f) {
+  const __m256i lanes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+      reinterpret_cast<const __m128i*>(lut[mask].data())));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(fired + f),
+      _mm256_add_epi32(lanes, _mm256_set1_epi32(static_cast<int>(j))));
+  return f + static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(mask)));
+}
+
 // ------------------------------------------------------ threshold scan ----
 
-// Eight neurons are compared per iteration; fired lanes are then visited in
-// ascending order via the movemask, so the fired list and the subtract side
-// effects match the canonical scan exactly. Lanes are independent (each
-// neuron's potential is read and written once), so the vector compare
-// cannot observe a stale value.
-std::size_t av_threshold_fire(const ThresholdCtx& ctx) {
+// Eight slots per iteration and no branch per fired lane: one compare, the
+// soft reset as a blend of v - theta into the fired lanes (a fired slot gets
+// exactly one subtraction, an unfired one keeps v bit for bit), and a
+// left-pack of the fired slots. Slots are independent, so the result
+// equals the scalar scan's, fired list included.
+template <bool kSubtract>
+std::size_t av_threshold_scan(const ThresholdCtx& ctx) {
+  const auto& lut = compact_lut();
   const __m256 th = _mm256_set1_ps(ctx.threshold);
   std::size_t fired = 0;
   std::size_t j = 0;
-  if (ctx.umap == nullptr) {
-    for (; j + 8 <= ctx.n; j += 8) {
-      const __m256 v = _mm256_loadu_ps(ctx.u + j);
-      int mask = _mm256_movemask_ps(_mm256_cmp_ps(v, th, _CMP_GE_OQ));
-      while (mask != 0) {
-        const int b = __builtin_ctz(static_cast<unsigned>(mask));
-        mask &= mask - 1;
-        const std::size_t idx = j + static_cast<std::size_t>(b);
-        if (ctx.subtract) {
-          ctx.u[idx] -= ctx.threshold;
-        }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(idx);
-      }
+  for (; j + 8 <= ctx.n; j += 8) {
+    const __m256 v = _mm256_loadu_ps(ctx.u + j);
+    const __m256 ge = _mm256_cmp_ps(v, th, _CMP_GE_OQ);
+    if constexpr (kSubtract) {
+      _mm256_storeu_ps(ctx.u + j,
+                       _mm256_blendv_ps(v, _mm256_sub_ps(v, th), ge));
     }
-  } else {
-    for (; j + 8 <= ctx.n; j += 8) {
-      const __m256i idxv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(ctx.umap + j));
-      const __m256 v = _mm256_i32gather_ps(ctx.u, idxv, 4);
-      int mask = _mm256_movemask_ps(_mm256_cmp_ps(v, th, _CMP_GE_OQ));
-      while (mask != 0) {
-        const int b = __builtin_ctz(static_cast<unsigned>(mask));
-        mask &= mask - 1;
-        const std::size_t pos = j + static_cast<std::size_t>(b);
-        if (ctx.subtract) {
-          ctx.u[ctx.umap[pos]] -= ctx.threshold;
-        }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(pos);
-      }
-    }
+    fired = pack_fired(lut, _mm256_movemask_ps(ge), j, ctx.fired, fired);
   }
   for (; j < ctx.n; ++j) {
-    const std::size_t idx = ctx.umap == nullptr ? j : ctx.umap[j];
-    const float v = ctx.u[idx];
+    const float v = ctx.u[j];
     if (v >= ctx.threshold) {
-      if (ctx.subtract) {
-        ctx.u[idx] = v - ctx.threshold;
+      if constexpr (kSubtract) {
+        ctx.u[j] = v - ctx.threshold;
       }
       ctx.fired[fired++] = static_cast<std::uint32_t>(j);
     }
@@ -205,29 +258,26 @@ std::size_t av_threshold_fire(const ThresholdCtx& ctx) {
   return fired;
 }
 
+std::size_t av_threshold_fire(const ThresholdCtx& ctx) {
+  return ctx.subtract ? av_threshold_scan<true>(ctx)
+                      : av_threshold_scan<false>(ctx);
+}
+
 // ---------------------------------------------------------- burst fire ----
 
-// Eight neurons per iteration: the quanta come out of the one-register
-// table by a lane permute on min(k, cap), the compare is the scalar >=,
-// and k = fired ? k + 1 : 0 is (k - mask) & mask on the all-ones compare
-// mask. Fired lanes are then visited in ascending order to drain u and
-// record the index, as in av_threshold_fire; lanes are independent, so
-// the vector compare cannot observe a stale value.
+// Eight slots per iteration, branch-free like av_threshold_scan: the quanta
+// come out of the one-register table by a lane permute on min(k, cap), the
+// compare is the scalar >=, k = fired ? k + 1 : 0 is (k - mask) & mask on
+// the all-ones compare mask, the drain is a blend of v - quantum, and the
+// fired slots are left-packed.
 std::size_t av_burst_fire(const BurstFireCtx& ctx) {
+  const auto& lut = compact_lut();
   const __m256 table = _mm256_loadu_ps(ctx.q);
   const __m256i cap = _mm256_set1_epi32(static_cast<int>(ctx.cap));
-  alignas(32) float quanta[8];
   std::size_t fired = 0;
   std::size_t j = 0;
   for (; j + 8 <= ctx.n; j += 8) {
-    const __m256 v =
-        ctx.umap == nullptr
-            ? _mm256_loadu_ps(ctx.u + j)
-            : _mm256_i32gather_ps(ctx.u,
-                                  _mm256_loadu_si256(
-                                      reinterpret_cast<const __m256i*>(
-                                          ctx.umap + j)),
-                                  4);
+    const __m256 v = _mm256_loadu_ps(ctx.u + j);
     auto* kp = reinterpret_cast<__m256i*>(ctx.k + j);
     const __m256i k = _mm256_loadu_si256(kp);
     const __m256 quantum =
@@ -235,26 +285,15 @@ std::size_t av_burst_fire(const BurstFireCtx& ctx) {
     const __m256 ge = _mm256_cmp_ps(v, quantum, _CMP_GE_OQ);
     const __m256i on = _mm256_castps_si256(ge);
     _mm256_storeu_si256(kp, _mm256_and_si256(_mm256_sub_epi32(k, on), on));
-    int mask = _mm256_movemask_ps(ge);
-    if (mask == 0) {
-      continue;
-    }
-    _mm256_store_ps(quanta, quantum);
-    while (mask != 0) {
-      const int b = __builtin_ctz(static_cast<unsigned>(mask));
-      mask &= mask - 1;
-      const std::size_t pos = j + static_cast<std::size_t>(b);
-      const std::size_t idx = ctx.umap == nullptr ? pos : ctx.umap[pos];
-      ctx.u[idx] -= quanta[b];
-      ctx.fired[fired++] = static_cast<std::uint32_t>(pos);
-    }
+    _mm256_storeu_ps(ctx.u + j,
+                     _mm256_blendv_ps(v, _mm256_sub_ps(v, quantum), ge));
+    fired = pack_fired(lut, _mm256_movemask_ps(ge), j, ctx.fired, fired);
   }
   for (; j < ctx.n; ++j) {
-    const std::size_t idx = ctx.umap == nullptr ? j : ctx.umap[j];
     const float quantum = ctx.q[ctx.k[j] < ctx.cap ? ctx.k[j] : ctx.cap];
-    const float v = ctx.u[idx];
+    const float v = ctx.u[j];
     if (v >= quantum) {
-      ctx.u[idx] = v - quantum;
+      ctx.u[j] = v - quantum;
       ++ctx.k[j];
       ctx.fired[fired++] = static_cast<std::uint32_t>(j);
     } else {
@@ -281,27 +320,11 @@ void av_axpy(float* y, const float* x, float a, std::size_t n) {
 
 // -------------------------------------------------------- mask compact ----
 
-// Left-pack via a 256-entry permutation LUT: the keep-byte movemask indexes
-// the lane order that gathers surviving elements to the front, and the
-// whole 8-lane block is stored at dst + k (popcount advances k, the extra
-// lanes are overwritten by the next block). In-place safe for dst <= src:
-// the store at dst + k never passes the next load at src + i + 8.
-const std::array<std::array<std::uint8_t, 8>, 256>& compact_lut() {
-  static const auto lut = [] {
-    std::array<std::array<std::uint8_t, 8>, 256> t{};
-    for (int mask = 0; mask < 256; ++mask) {
-      int out = 0;
-      for (int lane = 0; lane < 8; ++lane) {
-        if ((mask >> lane) & 1) {
-          t[mask][out++] = static_cast<std::uint8_t>(lane);
-        }
-      }
-    }
-    return t;
-  }();
-  return lut;
-}
-
+// Keep-mask compaction on the left-pack LUT: the keep-byte movemask picks
+// the lane order, and the whole 8-lane block is stored at dst + k
+// (popcount advances k, the extra lanes are overwritten by the next
+// block). In-place safe for dst <= src: the store at dst + k never passes
+// the next load at src + i + 8.
 std::size_t av_mask_compact(const std::uint32_t* src, const std::uint8_t* keep,
                             std::size_t n, std::uint32_t* dst) {
   const auto& lut = compact_lut();

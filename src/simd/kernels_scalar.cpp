@@ -53,26 +53,13 @@ void sc_conv_taps(const ConvTapCtx& ctx) {
 
 std::size_t sc_threshold_fire(const ThresholdCtx& ctx) {
   std::size_t fired = 0;
-  if (ctx.umap == nullptr) {
-    for (std::size_t j = 0; j < ctx.n; ++j) {
-      const float v = ctx.u[j];
-      if (v >= ctx.threshold) {
-        if (ctx.subtract) {
-          ctx.u[j] = v - ctx.threshold;
-        }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(j);
+  for (std::size_t j = 0; j < ctx.n; ++j) {
+    const float v = ctx.u[j];
+    if (v >= ctx.threshold) {
+      if (ctx.subtract) {
+        ctx.u[j] = v - ctx.threshold;
       }
-    }
-  } else {
-    for (std::size_t j = 0; j < ctx.n; ++j) {
-      const std::size_t idx = ctx.umap[j];
-      const float v = ctx.u[idx];
-      if (v >= ctx.threshold) {
-        if (ctx.subtract) {
-          ctx.u[idx] = v - ctx.threshold;
-        }
-        ctx.fired[fired++] = static_cast<std::uint32_t>(j);
-      }
+      ctx.fired[fired++] = static_cast<std::uint32_t>(j);
     }
   }
   return fired;
@@ -81,11 +68,10 @@ std::size_t sc_threshold_fire(const ThresholdCtx& ctx) {
 std::size_t sc_burst_fire(const BurstFireCtx& ctx) {
   std::size_t fired = 0;
   for (std::size_t j = 0; j < ctx.n; ++j) {
-    const std::size_t idx = ctx.umap == nullptr ? j : ctx.umap[j];
     const float quantum = ctx.q[ctx.k[j] < ctx.cap ? ctx.k[j] : ctx.cap];
-    const float v = ctx.u[idx];
+    const float v = ctx.u[j];
     if (v >= quantum) {
-      ctx.u[idx] = v - quantum;
+      ctx.u[j] = v - quantum;
       ++ctx.k[j];
       ctx.fired[fired++] = static_cast<std::uint32_t>(j);
     } else {

@@ -1,5 +1,7 @@
 #include "snn/coding_base.h"
 
+#include <algorithm>
+
 namespace tsnn::snn {
 
 std::string coding_name(Coding coding) {
@@ -39,9 +41,18 @@ void CodingScheme::readout_into(const EventBuffer& in,
 
 void CodingScheme::finish_readout(const SynapseTopology& syn, StageState& st,
                                   float* logits) const {
-  const std::size_t n = syn.out_size();
-  for (std::size_t j = 0; j < n; ++j) {
-    logits[j] = st.u[st.umap[j]];
+  // Canonical neuron c * cols + s sits at slot s * rows + c of a
+  // transposed accumulator; the copy walks that layout, no map needed.
+  const AccumLayout l = syn.accum_layout();
+  const float* u = st.u.data();
+  if (!l.transposed) {
+    std::copy(u, u + syn.out_size(), logits);
+    return;
+  }
+  for (std::size_t c = 0; c < l.rows; ++c) {
+    for (std::size_t s = 0; s < l.cols; ++s) {
+      logits[c * l.cols + s] = u[s * l.rows + c];
+    }
   }
 }
 

@@ -142,7 +142,8 @@ class CodingScheme {
                             LayerRole role, std::size_t t,
                             StageState& st) const = 0;
   /// Copies the accumulated potentials into `logits` (length
-  /// syn.out_size()). Pure copy through the accumulator map -- callable
+  /// syn.out_size()), canonical order. Pure copy out of the accumulator
+  /// layout -- callable
   /// after any prefix of the readout steps (the anytime-inference hook).
   virtual void finish_readout(const SynapseTopology& syn, StageState& st,
                               float* logits) const;
@@ -166,7 +167,7 @@ using CodingSchemePtr = std::unique_ptr<CodingScheme>;
 /// `batch` is caller-owned scratch (reused across steps so the per-step
 /// assembly allocates only on growth); must not be shared across threads.
 /// Writes `u` in the topology's accumulator layout (accum_layout()) --
-/// consumers index it through StageState::accum_map().
+/// the fire kernels scan it in that slot order (StageState).
 inline void propagate_step(const EventBuffer& in, std::size_t t, float m,
                            const SynapseTopology& syn, SpikeBatch& batch,
                            float* u) {

@@ -61,6 +61,16 @@ class SpikeBatch {
     mag_.assign(n, m);
   }
 
+  /// Replaces the contents with the `n` ids of an EventBuffer step span
+  /// and returns their magnitude array for the caller to write in place
+  /// (entries are unspecified until written) -- the per-spike-magnitude
+  /// shape of burst's ISI decoder, sized once instead of n add() calls.
+  float* assign_ids(const std::uint32_t* ids, std::size_t n) {
+    pre_.assign(ids, ids + n);
+    mag_.resize(n);
+    return mag_.data();
+  }
+
   std::size_t size() const { return pre_.size(); }
   bool empty() const { return pre_.empty(); }
   const std::uint32_t* pre() const { return pre_.data(); }
@@ -76,8 +86,8 @@ class SpikeBatch {
 /// accumulator slot j (identity) or, when `transposed`, at
 /// (j % cols) * rows + j / cols -- e.g. ConvTopology keeps potentials as
 /// {spatial, channel} so its spike kernel runs unit-stride over channels.
-/// StageState::accum_map() materializes the j -> slot mapping for the
-/// coding schemes' firing loops.
+/// The fire kernels scan the accumulator in slot order; StageState maps
+/// the fired slots back to canonical ids (snn/workspace.h).
 struct AccumLayout {
   std::size_t rows = 0;     ///< canonical-major extent (e.g. out channels)
   std::size_t cols = 0;     ///< canonical-minor extent (e.g. out h*w)

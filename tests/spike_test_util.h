@@ -2,8 +2,8 @@
 // type: building trains from (t, neuron) pairs, flattening them back to
 // events, per-neuron views, one-call scheme helpers on a transient
 // workspace, the reference deletion/jitter loops that the in-place noise
-// models are checked against, the per-neuron burst coding loops that
-// BurstScheme is checked against, the layer-sequential simulation loop
+// models are checked against, the per-neuron rate, phase, burst and TTFS
+// fire loops that the schemes are checked against, the layer-sequential simulation loop
 // that snn::simulate_into is checked against, and the per-spike synapse
 // scatter (reference_accumulate) that SynapseTopology::propagate is checked
 // against.
@@ -425,6 +425,143 @@ inline Tensor reference_burst_readout(const CodingParams& p,
   for (std::size_t j = 0; j < umap.size(); ++j) {
     logits[j] = u[umap[j]];
   }
+  return logits;
+}
+
+// Reference rate, phase and TTFS/TTAS layers: the canonical per-neuron
+// fire loops the schemes ran before their fire kernels scanned the
+// accumulator in slot order. Each step's arrivals go through
+// propagate_step at the step's uniform magnitude (recomputed here from the
+// params), and the fire rule visits canonical neurons j = 0..n at slot
+// map[j], so the output trains are in ascending-id order by construction.
+// The schemes must match them bit for bit on every dispatch table.
+
+/// Fires every canonical neuron j whose potential u[map[j]] covers
+/// `threshold`, draining it (the rate/phase soft reset), as step `t`.
+inline void reference_threshold_step(std::vector<float>& u,
+                                     const std::vector<std::uint32_t>& map,
+                                     float threshold, std::size_t t,
+                                     EventBuffer& out) {
+  for (std::size_t j = 0; j < map.size(); ++j) {
+    float& uj = u[map[j]];
+    if (uj >= threshold) {
+      uj -= threshold;
+      out.push(static_cast<std::int32_t>(t), static_cast<std::uint32_t>(j));
+    }
+  }
+}
+
+/// Phase weight 2^-(1 + t mod K) of step t.
+inline float reference_phase_weight(const CodingParams& p, std::size_t t) {
+  return std::ldexp(1.0f, -static_cast<int>(t % p.phase_period) - 1);
+}
+
+/// Reference rate hidden layer: arrivals and threshold are both theta.
+inline EventBuffer reference_rate_layer(const CodingParams& p,
+                                        const EventBuffer& in,
+                                        const SynapseTopology& syn) {
+  const std::vector<std::uint32_t> map = reference_accum_map(syn);
+  std::vector<float> u(syn.out_size(), 0.0f);
+  SpikeBatch batch;
+  EventBuffer out;
+  out.reset(syn.out_size(), p.window);
+  for (std::size_t t = 0; t < std::min(in.window(), p.window); ++t) {
+    propagate_step(in, t, p.threshold, syn, batch, u.data());
+    reference_threshold_step(u, map, p.threshold, t, out);
+  }
+  EventSortScratch scratch;
+  out.finalize(scratch);
+  return out;
+}
+
+/// Reference phase hidden layer: step t's arrivals weigh base_in * pw(t)
+/// and neurons fire greedily at theta * pw(t).
+inline EventBuffer reference_phase_layer(const CodingParams& p,
+                                         const EventBuffer& in,
+                                         const SynapseTopology& syn,
+                                         LayerRole role) {
+  const float base_in = role == LayerRole::kFirstHidden ? 1.0f : p.threshold;
+  const std::vector<std::uint32_t> map = reference_accum_map(syn);
+  std::vector<float> u(syn.out_size(), 0.0f);
+  SpikeBatch batch;
+  EventBuffer out;
+  out.reset(syn.out_size(), p.window);
+  for (std::size_t t = 0; t < p.window; ++t) {
+    const float pw = reference_phase_weight(p, t);
+    if (t < in.window()) {
+      propagate_step(in, t, base_in * pw, syn, batch, u.data());
+    }
+    reference_threshold_step(u, map, p.threshold * pw, t, out);
+  }
+  EventSortScratch scratch;
+  out.finalize(scratch);
+  return out;
+}
+
+/// TTFS/TTAS step magnitude base_in * C_A * exp(-t / tau), with C_A the
+/// kernel-sum normalization over the burst (1 for plain TTFS).
+inline float reference_ttfs_magnitude(const CodingParams& p, LayerRole role,
+                                      std::size_t t) {
+  double z_hat = 0.0;
+  for (std::size_t j = 0; j < p.burst_duration; ++j) {
+    z_hat += std::exp(-static_cast<double>(j) / p.tau);
+  }
+  const float base_in = role == LayerRole::kFirstHidden ? 1.0f : p.threshold;
+  return base_in * static_cast<float>(1.0 / z_hat) *
+         std::exp(-static_cast<float>(t) / p.tau);
+}
+
+/// Reference TTFS/TTAS hidden layer: integrate the whole input window,
+/// then collect every canonical neuron at or above the floor
+/// theta * exp(-(T-1)/tau) and emit its burst from t1 = round(tau *
+/// ln(theta / u)), clamped into the window.
+inline EventBuffer reference_ttfs_layer(const CodingParams& p,
+                                        const EventBuffer& in,
+                                        const SynapseTopology& syn,
+                                        LayerRole role) {
+  const std::vector<std::uint32_t> map = reference_accum_map(syn);
+  std::vector<float> u(syn.out_size(), 0.0f);
+  SpikeBatch batch;
+  for (std::size_t t = 0; t < in.window(); ++t) {
+    propagate_step(in, t, reference_ttfs_magnitude(p, role, t), syn, batch,
+                   u.data());
+  }
+  const auto window = static_cast<std::int64_t>(p.window);
+  const float floor =
+      p.threshold * std::exp(-static_cast<float>(window - 1) / p.tau);
+  EventBuffer out;
+  out.reset(syn.out_size(), p.window + p.burst_duration - 1);
+  for (std::size_t j = 0; j < map.size(); ++j) {
+    const float uj = u[map[j]];
+    if (!(uj >= floor)) {
+      continue;
+    }
+    const std::int64_t t1 = std::clamp<std::int64_t>(
+        std::lround(p.tau * std::log(p.threshold / uj)), 0, window - 1);
+    for (std::size_t b = 0; b < p.burst_duration; ++b) {
+      out.push(static_cast<std::int32_t>(t1 + static_cast<std::int64_t>(b)),
+               static_cast<std::uint32_t>(j));
+    }
+  }
+  EventSortScratch scratch;
+  out.finalize(scratch);
+  return out;
+}
+
+/// Reference readout of a uniform-magnitude scheme: every input step
+/// propagated at magnitude(t), read out in canonical order.
+template <typename Magnitude>
+inline Tensor reference_uniform_readout(const EventBuffer& in,
+                                        const SynapseTopology& syn,
+                                        const Magnitude& magnitude) {
+  std::vector<float> u(syn.out_size(), 0.0f);
+  SpikeBatch batch;
+  for (std::size_t t = 0; t < in.window(); ++t) {
+    propagate_step(in, t, magnitude(t), syn, batch, u.data());
+  }
+  const std::vector<float> canonical = to_canonical(syn, u.data());
+  Tensor logits{Shape{syn.out_size()}};
+  std::copy(canonical.begin(), canonical.end(), logits.data());
   return logits;
 }
 

@@ -248,6 +248,178 @@ TEST(BurstScheme, MatchesPerNeuronPowReference) {
   }
 }
 
+/// Weights drawn as whole quarters in [lo/4, hi/4], one in five exactly
+/// 1.0: with a dyadic theta every potential is an exact dyadic sum, so
+/// neurons land exactly on their threshold (the >= edge) again and again.
+Tensor dyadic_weights(const Shape& shape, std::uint64_t seed, int lo, int hi) {
+  Tensor w{shape};
+  Rng rng(seed);
+  for (std::size_t i = 0; i < w.numel(); ++i) {
+    const auto q = lo + static_cast<int>(rng.uniform_index(
+                            static_cast<std::size_t>(hi - lo + 1)));
+    w[i] = rng.uniform_index(5) == 0 ? 1.0f : 0.25f * static_cast<float>(q);
+  }
+  return w;
+}
+
+// Conv widths of the fire-order grid: 1 (a transposed layout that is the
+// identity), odd and even widths below and at the 8-lane vector, and the
+// full zoo's 12 and 24, which are not powers of two.
+constexpr std::size_t kFireChannels[] = {1, 3, 8, 12, 16, 24};
+
+/// Drives `scheme` against its per-neuron reference on every runnable
+/// dispatch table. Each kFireChannels width gets a conv layer on a 2 x 5 x 7
+/// input (3x3, pad 1: 35 slots per channel, not a multiple of 8) and a
+/// dense layer behind it, fed clean, deleted (p = 0.3) and jittered
+/// (sigma = 1.5) trains, plus readouts through a dense head and through the
+/// conv itself (a transposed readout). `ref_layer(in, syn, role)` is the
+/// reference layer and `ref_magnitude(role)` maps a step to the reference
+/// readout's magnitude.
+template <typename RefLayer, typename RefMagnitude>
+void check_fire_order(const snn::CodingScheme& scheme,
+                      const RefLayer& ref_layer,
+                      const RefMagnitude& ref_magnitude) {
+  using snn::test::reference_uniform_readout;
+  const Tensor image = random_activations(2 * 5 * 7, 51, 0.0, 1.0);
+  const auto deletion = noise::make_deletion(0.3);
+  const auto jitter = noise::make_jitter(1.5);
+  const snn::DenseTopology head(random_weights(Shape{10, 29}, 44, -0.5f, 0.5f));
+  for (const simd::KernelDispatch* table : simd::runnable_tables()) {
+    const simd::ScopedKernelOverride pin(*table);
+    const EventBuffer clean = encode(scheme, image);
+    Rng rng(9);
+    const EventBuffer inputs[] = {
+        clean, snn::test::corrupted(*deletion, clean, rng),
+        snn::test::corrupted(*jitter, clean, rng)};
+    const char* const input_names[] = {"clean", "deleted", "jittered"};
+    for (const std::size_t oc : kFireChannels) {
+      const snn::ConvTopology conv(
+          dyadic_weights(Shape{oc, 2, 3, 3}, 60 + oc, -2, 4), 5, 7, 1, 1);
+      const snn::DenseTopology dense(
+          dyadic_weights(Shape{29, conv.out_size()}, 70 + oc, -1, 1));
+      for (std::size_t i = 0; i < 3; ++i) {
+        const EventBuffer& in = inputs[i];
+        const std::string at = scheme.name() + " " + table->isa + " oc=" +
+                               std::to_string(oc) + " " + input_names[i] +
+                               " theta=" +
+                               std::to_string(scheme.params().threshold);
+        const EventBuffer c =
+            run_layer(scheme, in, conv, LayerRole::kFirstHidden);
+        ASSERT_EQ(events_of(ref_layer(in, conv, LayerRole::kFirstHidden)),
+                  events_of(c))
+            << at << " conv";
+        ASSERT_GT(c.size(), 0u) << at;
+        const EventBuffer d = run_layer(scheme, c, dense, LayerRole::kHidden);
+        ASSERT_EQ(events_of(ref_layer(c, dense, LayerRole::kHidden)),
+                  events_of(d))
+            << at << " dense";
+        expect_same_bits(
+            reference_uniform_readout(d, head,
+                                      ref_magnitude(LayerRole::kHidden)),
+            snn::test::readout(scheme, d, head, LayerRole::kHidden),
+            at + " readout");
+        expect_same_bits(
+            reference_uniform_readout(in, conv,
+                                      ref_magnitude(LayerRole::kFirstHidden)),
+            snn::test::readout(scheme, in, conv, LayerRole::kFirstHidden),
+            at + " conv readout");
+      }
+    }
+  }
+}
+
+// RateScheme's slot-order fire scan plus the canonical reorder against the
+// per-neuron loop, at the registry theta and at a dyadic theta where exact
+// ties are common.
+TEST(RateScheme, MatchesPerNeuronReference) {
+  for (const float theta : {default_params(Coding::kRate).threshold, 0.5f}) {
+    CodingParams p = default_params(Coding::kRate);
+    p.threshold = theta;
+    const RateScheme scheme(p);
+    check_fire_order(
+        scheme,
+        [&p](const EventBuffer& in, const snn::SynapseTopology& syn,
+             LayerRole) {
+          return snn::test::reference_rate_layer(p, in, syn);
+        },
+        [&p](LayerRole) { return [&p](std::size_t) { return p.threshold; }; });
+  }
+}
+
+TEST(PhaseScheme, MatchesPerNeuronReference) {
+  for (const float theta : {default_params(Coding::kPhase).threshold, 0.5f}) {
+    CodingParams p = default_params(Coding::kPhase);
+    p.threshold = theta;
+    const PhaseScheme scheme(p);
+    check_fire_order(
+        scheme,
+        [&p](const EventBuffer& in, const snn::SynapseTopology& syn,
+             LayerRole role) {
+          return snn::test::reference_phase_layer(p, in, syn, role);
+        },
+        [&p](LayerRole role) {
+          const float base_in =
+              role == LayerRole::kFirstHidden ? 1.0f : p.threshold;
+          return [&p, base_in](std::size_t t) {
+            return base_in * snn::test::reference_phase_weight(p, t);
+          };
+        });
+  }
+}
+
+// TTFS's floor-collect scan in slot order, then the canonical reorder and
+// the per-survivor read at slot_of(j), for TTFS and a 3-spike TTAS burst.
+TEST(TtfsScheme, MatchesPerNeuronReference) {
+  for (const std::size_t duration : {1ul, 3ul}) {
+    CodingParams p = default_params(Coding::kTtfs);
+    p.burst_duration = duration;
+    const TtfsScheme scheme(p);
+    check_fire_order(
+        scheme,
+        [&p](const EventBuffer& in, const snn::SynapseTopology& syn,
+             LayerRole role) {
+          return snn::test::reference_ttfs_layer(p, in, syn, role);
+        },
+        [&p](LayerRole role) {
+          return [&p, role](std::size_t t) {
+            return snn::test::reference_ttfs_magnitude(p, role, t);
+          };
+        });
+  }
+}
+
+// Exact ties at the TTFS floor: at theta = 1, a single unit-weight arrival
+// at the last input step leaves u == 1 * exp(-(T-1)/tau) == the floor
+// exactly, so those neurons must fire (>=), in canonical order, on every
+// table; earlier arrivals sit above the floor.
+TEST(TtfsScheme, FloorTiesFireInCanonicalOrder) {
+  CodingParams p = default_params(Coding::kTtfs);
+  p.threshold = 1.0f;
+  const TtfsScheme scheme(p);
+  const std::size_t oc = 3;
+  Tensor w{Shape{oc, 1, 1, 1}};
+  for (std::size_t i = 0; i < oc; ++i) {
+    w[i] = 1.0f;
+  }
+  const snn::ConvTopology conv(w, 5, 7, 1, 0);
+  std::vector<std::pair<std::int32_t, std::uint32_t>> spikes;
+  const auto last = static_cast<std::int32_t>(p.window - 1);
+  for (std::uint32_t j = 0; j < 35; j += 2) {
+    spikes.emplace_back(j % 4 == 0 ? last : static_cast<std::int32_t>(j), j);
+  }
+  const EventBuffer in = snn::test::make_train(35, p.window, spikes);
+  const EventBuffer want = snn::test::reference_ttfs_layer(
+      p, in, conv, LayerRole::kFirstHidden);
+  // Every channel fires once per input spike, ties included.
+  ASSERT_EQ(want.size(), oc * spikes.size());
+  for (const simd::KernelDispatch* table : simd::runnable_tables()) {
+    const simd::ScopedKernelOverride pin(*table);
+    EXPECT_EQ(events_of(want),
+              events_of(run_layer(scheme, in, conv, LayerRole::kFirstHidden)))
+        << table->isa;
+  }
+}
+
 TEST(BurstScheme, HighActivationUsesFewerSpikesThanRate) {
   Tensor a{Shape{8}};
   for (std::size_t i = 0; i < 8; ++i) {

@@ -14,12 +14,16 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
 #include "common/cpu.h"
 #include "common/rng.h"
 #include "simd/kernels.h"
+#include "snn/topology.h"
+#include "snn/workspace.h"
+#include "tensor/tensor.h"
 
 namespace tsnn {
 namespace {
@@ -130,7 +134,7 @@ TEST_P(SimdEquivalence, DenseMatvecWithinTolerance) {
 
 TEST_P(SimdEquivalence, ConvTapsBitExact) {
   Rng rng(0xc0ffee11u);
-  for (const std::size_t oc : {1ul, 7ul, 8ul, 13ul, 32ul, 65ul}) {
+  for (const std::size_t oc : {1ul, 7ul, 8ul, 13ul, 16ul, 24ul, 32ul, 65ul}) {
     const std::size_t in_hw = 25;   // 5x5 input
     const std::size_t out_hw = 25;  // same-size output
     const std::size_t k2 = 9;       // 3x3 kernel
@@ -186,46 +190,39 @@ TEST_P(SimdEquivalence, ThresholdFireBitExact) {
   Rng rng(0x7153a11u);
   for (const std::size_t n : kFanOuts) {
     for (const bool subtract : {false, true}) {
-      for (const bool mapped : {false, true}) {
-        // Potentials straddling the threshold, including exact hits.
-        auto u0 = random_floats(rng, n, 0.0f, 2.0f);
-        if (n > 2) {
-          u0[n / 2] = 1.0f;  // the >= edge must fire
-        }
-        // A permuted indirection map exercises the gather path.
-        std::vector<std::uint32_t> umap(n);
-        for (std::size_t j = 0; j < n; ++j) {
-          umap[j] = static_cast<std::uint32_t>(n - 1 - j);
-        }
+      // Potentials straddling the threshold, including exact hits.
+      auto u0 = random_floats(rng, n, 0.0f, 2.0f);
+      if (n > 2) {
+        u0[n / 2] = 1.0f;  // the >= edge must fire
+      }
 
-        auto u_ref = u0;
-        auto u_got = u0;
-        std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
-        std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
+      auto u_ref = u0;
+      auto u_got = u0;
+      // Exactly n entries: the vector tables' block stores must fit.
+      std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
+      std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
 
-        simd::ThresholdCtx ctx;
-        ctx.umap = mapped ? umap.data() : nullptr;
-        ctx.n = n;
-        ctx.threshold = 1.0f;
-        ctx.subtract = subtract;
+      simd::ThresholdCtx ctx;
+      ctx.n = n;
+      ctx.threshold = 1.0f;
+      ctx.subtract = subtract;
 
-        ctx.u = u_ref.data();
-        ctx.fired = fired_ref.data();
-        const std::size_t nref = simd::scalar_kernels().threshold_fire(ctx);
-        ctx.u = u_got.data();
-        ctx.fired = fired_got.data();
-        const std::size_t ngot = table().threshold_fire(ctx);
+      ctx.u = u_ref.data();
+      ctx.fired = fired_ref.data();
+      const std::size_t nref = simd::scalar_kernels().threshold_fire(ctx);
+      ctx.u = u_got.data();
+      ctx.fired = fired_got.data();
+      const std::size_t ngot = table().threshold_fire(ctx);
 
-        ASSERT_EQ(nref, ngot) << table().isa << " n=" << n
-                              << " subtract=" << subtract
-                              << " mapped=" << mapped;
-        for (std::size_t j = 0; j < nref; ++j) {
-          ASSERT_EQ(fired_ref[j], fired_got[j]) << table().isa << " n=" << n;
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(u_ref[j], u_got[j]) << table().isa << " n=" << n
-                                        << " subtract=" << subtract;
-        }
+      ASSERT_EQ(nref, ngot) << table().isa << " n=" << n
+                            << " subtract=" << subtract;
+      for (std::size_t j = 0; j < nref; ++j) {
+        ASSERT_EQ(fired_ref[j], fired_got[j]) << table().isa << " n=" << n;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(u_ref[j]),
+                  std::bit_cast<std::uint32_t>(u_got[j]))
+            << table().isa << " n=" << n << " subtract=" << subtract;
       }
     }
   }
@@ -235,65 +232,175 @@ TEST_P(SimdEquivalence, BurstFireBitExact) {
   Rng rng(0xb0257u);
   for (const std::size_t n : kFanOuts) {
     for (std::uint32_t cap = 0; cap <= 7; ++cap) {
-      for (const bool mapped : {false, true}) {
-        // Quanta of g = 1.5 at theta = 0.4, padded past cap like the
-        // scheme's table; potentials straddle them, with exact hits.
-        float q[8];
-        for (std::uint32_t e = 0; e < 8; ++e) {
-          q[e] = 0.4f * std::pow(1.5f, static_cast<float>(std::min(e, cap)));
-        }
-        // Counters below, at and above cap.
-        std::vector<std::uint32_t> k0(n);
-        for (auto& k : k0) {
-          k = static_cast<std::uint32_t>(rng.uniform_index(cap + 3));
-        }
-        auto u0 = random_floats(rng, n, 0.0f, 2.0f * q[cap]);
-        if (n > 2) {
-          u0[n / 2] = q[std::min(k0[n / 2], cap)];  // the >= edge must fire
-        }
-        // The transposed {spatial, channel} map of a conv layer.
-        const std::size_t rows = n % 3 == 0 ? 3 : 1;
-        const std::size_t cols = n / rows;
-        std::vector<std::uint32_t> umap(n);
-        for (std::size_t j = 0; j < n; ++j) {
-          umap[j] = static_cast<std::uint32_t>((j % cols) * rows + j / cols);
-        }
+      // Quanta of g = 1.5 at theta = 0.4, padded past cap like the
+      // scheme's table; potentials straddle them, with exact hits.
+      float q[8];
+      for (std::uint32_t e = 0; e < 8; ++e) {
+        q[e] = 0.4f * std::pow(1.5f, static_cast<float>(std::min(e, cap)));
+      }
+      // Counters below, at and above cap.
+      std::vector<std::uint32_t> k0(n);
+      for (auto& k : k0) {
+        k = static_cast<std::uint32_t>(rng.uniform_index(cap + 3));
+      }
+      auto u0 = random_floats(rng, n, 0.0f, 2.0f * q[cap]);
+      if (n > 2) {
+        u0[n / 2] = q[std::min(k0[n / 2], cap)];  // the >= edge must fire
+      }
 
-        auto u_ref = u0;
-        auto u_got = u0;
-        auto k_ref = k0;
-        auto k_got = k0;
-        std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
-        std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
+      auto u_ref = u0;
+      auto u_got = u0;
+      auto k_ref = k0;
+      auto k_got = k0;
+      std::vector<std::uint32_t> fired_ref(n, 0xffffffffu);
+      std::vector<std::uint32_t> fired_got(n, 0xffffffffu);
 
-        simd::BurstFireCtx ctx;
-        ctx.umap = mapped ? umap.data() : nullptr;
-        ctx.n = n;
-        ctx.q = q;
-        ctx.cap = cap;
+      simd::BurstFireCtx ctx;
+      ctx.n = n;
+      ctx.q = q;
+      ctx.cap = cap;
 
-        ctx.u = u_ref.data();
-        ctx.k = k_ref.data();
-        ctx.fired = fired_ref.data();
-        const std::size_t nref = simd::scalar_kernels().burst_fire(ctx);
-        ctx.u = u_got.data();
-        ctx.k = k_got.data();
-        ctx.fired = fired_got.data();
-        const std::size_t ngot = table().burst_fire(ctx);
+      ctx.u = u_ref.data();
+      ctx.k = k_ref.data();
+      ctx.fired = fired_ref.data();
+      const std::size_t nref = simd::scalar_kernels().burst_fire(ctx);
+      ctx.u = u_got.data();
+      ctx.k = k_got.data();
+      ctx.fired = fired_got.data();
+      const std::size_t ngot = table().burst_fire(ctx);
 
-        ASSERT_EQ(nref, ngot) << table().isa << " n=" << n << " cap=" << cap
-                              << " mapped=" << mapped;
-        for (std::size_t j = 0; j < nref; ++j) {
-          ASSERT_EQ(fired_ref[j], fired_got[j]) << table().isa << " n=" << n;
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(k_ref[j], k_got[j]) << table().isa << " n=" << n
-                                        << " cap=" << cap << " j=" << j;
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(u_ref[j]),
-                    std::bit_cast<std::uint32_t>(u_got[j]))
-              << table().isa << " n=" << n << " cap=" << cap << " j=" << j;
+      ASSERT_EQ(nref, ngot) << table().isa << " n=" << n << " cap=" << cap;
+      for (std::size_t j = 0; j < nref; ++j) {
+        ASSERT_EQ(fired_ref[j], fired_got[j]) << table().isa << " n=" << n;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(k_ref[j], k_got[j]) << table().isa << " n=" << n
+                                      << " cap=" << cap << " j=" << j;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(u_ref[j]),
+                  std::bit_cast<std::uint32_t>(u_got[j]))
+            << table().isa << " n=" << n << " cap=" << cap << " j=" << j;
+      }
+    }
+  }
+}
+
+// The fire scans run in accumulator-slot order; StageState::canonical_fired
+// restores ascending canonical ids. Bucket-reorder cases: for {channel,
+// spatial} layouts of 1, 3, 8, 12, 16 and 24 channels (12 and 24 are not
+// powers of two) over 1, 35 (5 x 7) and 64 spatial cells, each table's
+// slot-order threshold and burst scans followed by the reorder must give
+// the canonical per-neuron loop's fired ids, potentials and counters. One
+// StageState is rebound across every layout, as the wavefront reuses it.
+TEST_P(SimdEquivalence, FireInSlotOrderRestoresCanonicalIds) {
+  Rng rng(0xf14eu);
+  snn::StageState st;
+  for (const std::size_t rows : {1ul, 3ul, 8ul, 12ul, 16ul, 24ul}) {
+    for (const auto& hw :
+         {std::pair<std::size_t, std::size_t>{1, 1}, {5, 7}, {8, 8}}) {
+      const std::size_t cols = hw.first * hw.second;
+      const std::size_t n = rows * cols;
+      // 1x1 conv: a {rows, cols} transposed accumulator.
+      const snn::ConvTopology syn(Tensor{Shape{rows, 1, 1, 1}}, hw.first,
+                                  hw.second, 1, 0);
+      const std::string at = std::string(table().isa) +
+                             " rows=" + std::to_string(rows) +
+                             " cols=" + std::to_string(cols);
+      // slot[j] of canonical neuron j = c * cols + s is s * rows + c.
+      std::vector<std::uint32_t> slot(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        slot[j] = static_cast<std::uint32_t>((j % cols) * rows + j / cols);
+      }
+      // Canonical potentials with exact hits at the threshold (1.0) and at
+      // every quantum, and counters below, at and above cap.
+      float q[8];
+      for (std::uint32_t e = 0; e < 8; ++e) {
+        q[e] = 0.5f * static_cast<float>(1u << std::min(e, 3u));
+      }
+      std::vector<float> canon_u = random_floats(rng, n, 0.0f, 2.0f);
+      std::vector<std::uint32_t> canon_k(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        canon_k[j] = static_cast<std::uint32_t>(rng.uniform_index(6));
+        if (j % 5 == 0) {
+          canon_u[j] = j % 2 == 0 ? 1.0f : q[std::min(canon_k[j], 3u)];
         }
       }
+
+      for (const bool burst : {false, true}) {
+        // The canonical per-neuron loop.
+        std::vector<float> want_u = canon_u;
+        std::vector<std::uint32_t> want_k = canon_k;
+        std::vector<std::uint32_t> want_ids;
+        for (std::size_t j = 0; j < n; ++j) {
+          const float quantum =
+              burst ? q[std::min(want_k[j], 3u)] : 1.0f;
+          if (want_u[j] >= quantum) {
+            want_u[j] -= quantum;
+            ++want_k[j];
+            want_ids.push_back(static_cast<std::uint32_t>(j));
+          } else {
+            want_k[j] = 0;
+          }
+        }
+
+        // The slot-order scan on this table, then the reorder.
+        st.bind(syn);
+        st.k.assign(n, 0);
+        for (std::size_t j = 0; j < n; ++j) {
+          st.u[slot[j]] = canon_u[j];
+          st.k[slot[j]] = canon_k[j];
+        }
+        std::size_t nf = 0;
+        if (burst) {
+          simd::BurstFireCtx ctx;
+          ctx.u = st.u.data();
+          ctx.k = st.k.data();
+          ctx.n = n;
+          ctx.q = q;
+          ctx.cap = 3;
+          ctx.fired = st.fired.data();
+          nf = table().burst_fire(ctx);
+        } else {
+          simd::ThresholdCtx ctx;
+          ctx.u = st.u.data();
+          ctx.n = n;
+          ctx.threshold = 1.0f;
+          ctx.subtract = true;
+          ctx.fired = st.fired.data();
+          nf = table().threshold_fire(ctx);
+        }
+        const std::uint32_t* ids = st.canonical_fired(nf);
+        ASSERT_EQ(want_ids,
+                  std::vector<std::uint32_t>(ids, ids + nf))
+            << at << " burst=" << burst;
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(slot[j], st.slot_of(static_cast<std::uint32_t>(j))) << at;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(want_u[j]),
+                    std::bit_cast<std::uint32_t>(st.u[slot[j]]))
+              << at << " burst=" << burst << " j=" << j;
+          if (burst) {
+            ASSERT_EQ(want_k[j], st.k[slot[j]]) << at << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The multiply-high divisor against integer division, at the layout
+// extents the fire path uses and at the 32-bit edges.
+TEST(Divisor, MatchesIntegerDivision) {
+  Rng rng(0xd1u);
+  for (const std::uint32_t d :
+       {2u, 3u, 7u, 8u, 12u, 24u, 35u, 1000u, 65537u, 0x7fffffffu,
+        0xffffffffu}) {
+    const snn::Divisor div(d);
+    for (const std::uint32_t a :
+         {0u, 1u, d - 1, d, d + 1, 0x7fffffffu, 0xfffffffeu, 0xffffffffu}) {
+      ASSERT_EQ(a / d, div.quotient(a)) << a << " / " << d;
+    }
+    for (int i = 0; i < 4096; ++i) {
+      const auto a = static_cast<std::uint32_t>(rng());
+      ASSERT_EQ(a / d, div.quotient(a)) << a << " / " << d;
     }
   }
 }
