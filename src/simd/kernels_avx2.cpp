@@ -129,8 +129,11 @@ void av_dense_matvec_fma(const DenseMatvecCtx& ctx) {
 // emits ascending ids), so the cursor moves at channel boundaries only; a
 // jittered step whose ids restart walks it back. kVecs > 0 fixes the
 // channel loop at kVecs vectors (oc == 8 * kVecs, no tail); kVecs == 0 is
-// the generic loop. Each slot still receives m * w in spike order, one mul
-// and one add, so every variant matches sc_conv_taps bitwise.
+// the generic loop. Only the widths the fast zoo runs (8 and 16) take a
+// fixed count; there it beats the generic loop on every
+// BM_ConvSpikePropagate<avx2+fma> row and in sweep_paper's images_per_s.
+// Each slot still receives m * w in spike order, one mul and one add, so
+// every variant matches sc_conv_taps bitwise.
 template <std::size_t kVecs>
 void av_conv_taps_impl(const ConvTapCtx& ctx) {
   const std::size_t oc = kVecs > 0 ? 8 * kVecs : ctx.oc;
@@ -181,8 +184,6 @@ void av_conv_taps(const ConvTapCtx& ctx) {
   switch (ctx.oc) {
     case 8: return av_conv_taps_impl<1>(ctx);
     case 16: return av_conv_taps_impl<2>(ctx);
-    case 24: return av_conv_taps_impl<3>(ctx);
-    case 32: return av_conv_taps_impl<4>(ctx);
     default: return av_conv_taps_impl<0>(ctx);
   }
 }

@@ -75,7 +75,6 @@ struct StageState {
   AccumLayout layout;  ///< bind()'s syn.accum_layout()
   bool identity = true;  ///< slot j holds canonical neuron j
   Divisor by_rows;       ///< slot -> spatial index (transposed layouts)
-  Divisor by_cols;       ///< canonical id -> channel (transposed layouts)
 
   /// Binds the state to `syn` for one layer or readout run: caches its
   /// accumulator layout, zeroes out_size() potentials and sizes the fired
@@ -87,7 +86,6 @@ struct StageState {
     identity = !layout.transposed || layout.rows == 1 || layout.cols == 1;
     if (!identity) {
       by_rows = Divisor(static_cast<std::uint32_t>(layout.rows));
-      by_cols = Divisor(static_cast<std::uint32_t>(layout.cols));
       canon.resize(n);
       bucket.resize(layout.rows);
     }
@@ -131,15 +129,15 @@ struct StageState {
   }
 
   /// Accumulator slot of canonical neuron `j` (the inverse map, for
-  /// consumers that read a canonical neuron's potential).
+  /// consumers that read a canonical neuron's potential once per layer,
+  /// so a plain division serves).
   std::uint32_t slot_of(std::uint32_t j) const {
     if (identity) {
       return j;
     }
-    const std::uint32_t c = by_cols.quotient(j);
-    return (j - c * static_cast<std::uint32_t>(layout.cols)) *
-               static_cast<std::uint32_t>(layout.rows) +
-           c;
+    const auto rows = static_cast<std::uint32_t>(layout.rows);
+    const auto cols = static_cast<std::uint32_t>(layout.cols);
+    return (j % cols) * rows + j / cols;
   }
 };
 
